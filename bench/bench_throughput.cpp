@@ -6,7 +6,7 @@
 #include "core/generator.hpp"
 #include "core/grammar.hpp"
 #include "core/outlier.hpp"
-#include "core/race_checker.hpp"
+#include "analysis/race_analyzer.hpp"
 #include "emit/codegen.hpp"
 #include "fp/input_gen.hpp"
 #include "harness/campaign.hpp"
@@ -38,7 +38,7 @@ void BM_RaceCheck(benchmark::State& state) {
   const core::ProgramGenerator gen(bench_config());
   const auto prog = gen.generate("bench", 42);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::check_races(prog));
+    benchmark::DoNotOptimize(analysis::analyze_races(prog));
   }
   state.SetItemsProcessed(state.iterations());
 }

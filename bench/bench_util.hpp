@@ -12,9 +12,9 @@
 
 namespace ompfuzz::bench {
 
-/// The paper's evaluation configuration (Section V-A), with the workload
-/// scale documented in DESIGN.md (trip counts compressed for laptop-scale
-/// interpretation; the time_scale of the cost model compensates).
+/// The paper's evaluation configuration (Section V-A) at laptop scale: trip
+/// counts are compressed so the interpreter stays fast, and the cost
+/// model's time_scale compensates.
 inline CampaignConfig paper_config(int num_programs = 200) {
   CampaignConfig cfg;
   cfg.num_programs = num_programs;

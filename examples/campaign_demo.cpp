@@ -25,11 +25,14 @@
 //
 // With `[store] enabled = true` the campaign persists every executed
 // (program, input, implementation) result in a content-addressed run cache
-// under `store.dir` and streams completed shards to a crash-safe checkpoint
-// journal: a re-run skips every triple whose cache key is unchanged, and
-// `--resume` additionally restores whole shards recorded by a previous
-// (possibly killed) invocation. Either way the final CampaignResult is
-// bit-identical to a cold run.
+// under `store.dir`, each record written durably as its batch completes. A
+// re-run skips every triple whose cache key is unchanged, which is also how
+// a killed invocation resumes: run it again on the same store and only the
+// triples that never reached the store execute. A changed configuration
+// changes the keys, so it re-executes instead of restoring stale results.
+// Either way the final CampaignResult is bit-identical to a cold run.
+// `--resume` is accepted as an alias for that default (it still requires
+// the store to be enabled) and changes nothing.
 //
 // With `--reduce` every divergent (program, input, implementation set)
 // triple the campaign retained is minimized by the verdict-preserving
@@ -267,15 +270,10 @@ int main(int argc, char** argv) {
 
   const StoreConfig store_cfg = StoreConfig::from_config(file);
   std::unique_ptr<ResultStore> store;
-  std::unique_ptr<CheckpointJournal> journal;
   if (store_cfg.enabled) {
     store = std::make_unique<ResultStore>(store_cfg);
-    journal = std::make_unique<CheckpointJournal>(store_cfg.dir +
-                                                  "/checkpoint.journal");
     campaign.set_result_store(store.get());
-    campaign.set_checkpoint(journal.get(), resume);
-    std::printf("result store: dir=%s resume=%s\n\n", store_cfg.dir.c_str(),
-                resume ? "true" : "false");
+    std::printf("result store: dir=%s\n\n", store_cfg.dir.c_str());
   } else if (resume) {
     throw ConfigError("--resume needs '[store] enabled = true' in the config");
   }
@@ -305,13 +303,11 @@ int main(int argc, char** argv) {
 
   if (store) {
     const auto stats = store->stats();
-    std::printf("store: %llu hits, %llu misses, %llu puts; resumed %d/%d "
-                "programs from %s\n\n",
+    std::printf("store: %llu hits, %llu misses, %llu puts in %s\n\n",
                 static_cast<unsigned long long>(stats.hits),
                 static_cast<unsigned long long>(stats.misses),
                 static_cast<unsigned long long>(stats.puts),
-                campaign.resumed_programs(), cfg.num_programs,
-                journal->path().c_str());
+                store->dir().c_str());
   }
 
   // One snapshot feeds every summary below: the renderers read the registry

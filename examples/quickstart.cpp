@@ -14,7 +14,7 @@
 
 #include "core/generator.hpp"
 #include "core/outlier.hpp"
-#include "core/race_checker.hpp"
+#include "analysis/race_analyzer.hpp"
 #include "emit/codegen.hpp"
 #include "fp/input_gen.hpp"
 #include "harness/campaign.hpp"
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
               emit::emit_translation_unit(program).c_str());
 
   // 2. It is race-free by construction; verify with the static checker.
-  const auto races = core::check_races(program);
+  const auto races = analysis::analyze_races(program);
   std::printf("race checker: %s\n\n",
               races.race_free() ? "race-free" : "RACY (unexpected!)");
 

@@ -1,7 +1,7 @@
 // Real-compiler differential testing: the paper's actual driver, using
 // whatever OpenMP compilers this machine has. With a single g++ install,
 // optimization levels act as implementation proxies (same compile-run-compare
-// pipeline; see DESIGN.md substitutions). With icpx/clang++ installed, edit
+// pipeline, one toolchain). With icpx/clang++ installed, edit
 // the commands below and this example runs the paper's exact experiment.
 //
 //   $ ./real_compiler_diff [num_programs] [threads] [max_inflight]

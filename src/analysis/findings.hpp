@@ -3,8 +3,7 @@
 // The kinds predate the MHP analyzer — they were introduced by the original
 // pattern-rule checker — and are kept stable because campaign reports, the
 // reducer's rejection messages, and the golden-finding corpus all key off
-// them. core/race_checker.hpp re-exports these names into ompfuzz::core so
-// existing call sites compile unchanged.
+// them.
 #pragma once
 
 #include <string>

@@ -229,7 +229,7 @@ namespace {
 /// provides one) a pidfd, and spawning transiently holds the pipe write end.
 constexpr std::size_t kFdsPerChild = 3;
 /// Headroom for everything else the process keeps open (store record files,
-/// the checkpoint journal, emitted sources, wake pipes, stdio).
+/// emitted sources, wake pipes, stdio).
 constexpr std::size_t kReservedFds = 64;
 
 /// Process-wide ledger of fds reserved by live pools, so SEVERAL pools in

@@ -9,12 +9,10 @@
 #include <thread>
 
 #include "analysis/race_analyzer.hpp"
-#include "core/race_checker.hpp"
 #include "emit/codegen.hpp"
 #include "support/error.hpp"
 #include "support/fault_injection.hpp"
 #include "support/rng.hpp"
-#include "support/string_utils.hpp"
 
 namespace ompfuzz::harness {
 
@@ -30,13 +28,12 @@ double CampaignResult::outlier_rate() const {
                                static_cast<double>(total_runs);
 }
 
-Campaign::Metrics::Metrics() {
+CampaignMetrics::CampaignMetrics() {
   auto& registry = telemetry::Registry::global();
   retried_triples = &registry.counter("campaign.retried_triples");
   retry_rounds = &registry.counter("campaign.retry_rounds");
   failover_units = &registry.counter("campaign.failover_units");
   fabricated_units = &registry.counter("campaign.fabricated_units");
-  journal_failures = &registry.counter("campaign.journal_failures");
   analysis_nanos = &registry.counter("campaign.analysis_nanos");
   units_total = &registry.gauge("campaign.units_total");
   units_done = &registry.gauge("campaign.units_done");
@@ -96,7 +93,7 @@ TestCase Campaign::make_test_case(int program_index) const {
         "test_" + std::to_string(program_index), seed);
     telemetry::ScopedSpan check_span("analysis", "check_races");
     const auto t0 = std::chrono::steady_clock::now();
-    const bool race_free = core::check_races(candidate).race_free();
+    const bool race_free = analysis::analyze_races(candidate).race_free();
     metrics_.analysis_nanos->add(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
@@ -138,13 +135,11 @@ namespace {
 /// after ALL backends of a program completed — the outlier analysis compares
 /// an implementation against the whole team, which spans backends.
 struct SubShard {
-  bool done = false;
   /// Any run fabricated by a harness failure (compile/spawn infrastructure
-  /// error): the sub-shard is merged like any other but never journaled —
-  /// resuming must re-execute it rather than replay the transient failure.
+  /// error): the sub-shard is merged like any other, but it counts against
+  /// its backend's health and a failover spare re-runs it.
   bool tainted = false;
   int regeneration_attempts = 0;
-  std::uint64_t fingerprint = 0;
   std::string program_name;
   std::vector<std::string> input_texts;  ///< one per input
   std::vector<core::RunResult> runs;     ///< inputs x backend impls, input-major
@@ -155,13 +150,12 @@ struct SubShard {
 struct MergedShard {
   std::vector<TestOutcome> outcomes;
   std::vector<DivergentTriple> divergent;
-  std::uint64_t program_fingerprint = 0;
   int regeneration_attempts = 0;
 };
 
 /// Computes the verdict and output divergence of one outcome from its raw
-/// runs. Deterministic, so outcomes restored from the checkpoint journal or
-/// assembled from cached runs classify bit-identically to a cold run.
+/// runs. Deterministic, so outcomes assembled from cached runs classify
+/// bit-identically to a cold run.
 void classify_outcome(TestOutcome& outcome, const core::OutlierDetector& detector) {
   outcome.verdict = detector.analyze(outcome.runs);
 
@@ -187,19 +181,6 @@ core::VerdictClass outcome_class(const TestOutcome& outcome) {
 void collect_divergent(MergedShard& shard, const TestCase& test, int p) {
   std::string source;  // emitted once, shared by all divergent inputs
   for (const TestOutcome& outcome : shard.outcomes) {
-    if (outcome.input_index < 0 ||
-        static_cast<std::size_t>(outcome.input_index) >= test.inputs.size()) {
-      continue;  // journal-restored index beyond this campaign's inputs
-    }
-    // The retained input must be the one the runs observed. Always true on
-    // the live path; on the resume path a changed input generator would
-    // regenerate different values than the journaled serialization (the
-    // program fingerprint check upstream cannot see that) — drop the triple
-    // rather than pair old verdicts with a wrong input.
-    if (test.inputs[static_cast<std::size_t>(outcome.input_index)].to_string() !=
-        outcome.input_text) {
-      continue;
-    }
     const core::VerdictClass cls = outcome_class(outcome);
     if (!cls.divergent()) continue;
     if (source.empty()) source = emit::emit_translation_unit(test.program);
@@ -229,12 +210,48 @@ core::RunResult fabricated_run(const std::string& impl_name) {
   return result;
 }
 
-/// Retry accounting a unit feeds while it re-dispatches failed triples:
-/// cached registry-counter references owned by the campaign.
-struct UnitRetryCounters {
-  telemetry::Counter* retried_triples = nullptr;
-  telemetry::Counter* retry_rounds = nullptr;
+/// The program metadata every sub-shard of program `p` carries, whatever
+/// produced its runs: name, regeneration count, and input serializations.
+SubShard shard_metadata(const TestCase& test, std::size_t num_inputs) {
+  SubShard shard;
+  shard.regeneration_attempts = test.regeneration_attempts;
+  shard.program_name = test.program.name();
+  shard.input_texts.resize(num_inputs);
+  for (std::size_t i = 0; i < num_inputs; ++i) {
+    shard.input_texts[i] = test.inputs[i].to_string();
+  }
+  return shard;
+}
+
+/// Implementations that share the same set of still-needed inputs, dispatched
+/// to the executor as one run_batch call.
+struct BatchGroup {
+  std::vector<std::size_t> missing_inputs;
+  std::vector<std::size_t> impl_ids;
 };
+
+/// Groups the needed triples of an input-major `need` mask (ni x nj) by
+/// missing-input set, implementations in column order.
+std::vector<BatchGroup> group_pending(const std::vector<char>& need,
+                                      std::size_t ni, std::size_t nj) {
+  std::vector<BatchGroup> groups;
+  for (std::size_t j = 0; j < nj; ++j) {
+    std::vector<std::size_t> missing;
+    for (std::size_t i = 0; i < ni; ++i) {
+      if (need[i * nj + j]) missing.push_back(i);
+    }
+    if (missing.empty()) continue;
+    auto it = std::find_if(groups.begin(), groups.end(), [&](const BatchGroup& g) {
+      return g.missing_inputs == missing;
+    });
+    if (it == groups.end()) {
+      groups.push_back({std::move(missing), {j}});
+    } else {
+      it->impl_ids.push_back(j);
+    }
+  }
+  return groups;
+}
 
 /// Generates program `p` and runs every (input, implementation) pair of ONE
 /// backend's implementation subset that is not already in the result store.
@@ -263,31 +280,21 @@ SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
                         std::mutex* exec_mutex,
                         const std::vector<std::string>& impl_names,
                         const std::vector<std::string>& impl_identities,
-                        ResultStore* store, int p, int backend_index = 0,
-                        const UnitRetryCounters* counters = nullptr,
-                        const std::atomic<bool>* backend_dead = nullptr) {
+                        ResultStore* store, int p, int backend_index,
+                        const CampaignMetrics& metrics,
+                        const std::atomic<bool>* backend_dead) {
   telemetry::ScopedSpan span("run-batch", "shard_unit");
-  SubShard shard;
   const TestCase test = campaign.make_test_case(p);
+  const std::uint64_t fingerprint = test.program.fingerprint();
   if (span.active()) {
     span.arg("program", p);
     span.arg("backend", backend_index);
-    span.arg("fingerprint",
-             telemetry::hex_fingerprint(test.program.fingerprint()));
+    span.arg("fingerprint", telemetry::hex_fingerprint(fingerprint));
   }
-  shard.regeneration_attempts = test.regeneration_attempts;
-  shard.program_name = test.program.name();
-
   const std::size_t ni =
       static_cast<std::size_t>(campaign.config().inputs_per_program);
   const std::size_t nj = impl_names.size();
-  const std::uint64_t fingerprint = test.program.fingerprint();
-  shard.fingerprint = fingerprint;
-
-  shard.input_texts.resize(ni);
-  for (std::size_t i = 0; i < ni; ++i) {
-    shard.input_texts[i] = test.inputs[i].to_string();
-  }
+  SubShard shard = shard_metadata(test, ni);
 
   const auto key_for = [&](std::size_t i, std::size_t j) {
     return RunKey{fingerprint, shard.input_texts[i], impl_identities[j]};
@@ -330,28 +337,7 @@ SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
   // misbehaving backend abort everyone else's work, so it degrades to the
   // same quarantine path every other infrastructure failure takes.
   const auto dispatch_pending = [&] {
-    struct BatchGroup {
-      std::vector<std::size_t> missing_inputs;
-      std::vector<std::size_t> impl_ids;
-    };
-    std::vector<BatchGroup> groups;
-    for (std::size_t j = 0; j < nj; ++j) {
-      std::vector<std::size_t> missing;
-      for (std::size_t i = 0; i < ni; ++i) {
-        if (need[i * nj + j]) missing.push_back(i);
-      }
-      if (missing.empty()) continue;
-      auto it = std::find_if(groups.begin(), groups.end(), [&](const BatchGroup& g) {
-        return g.missing_inputs == missing;
-      });
-      if (it == groups.end()) {
-        groups.push_back({std::move(missing), {j}});
-      } else {
-        it->impl_ids.push_back(j);
-      }
-    }
-
-    for (const auto& group : groups) {
+    for (const auto& group : group_pending(need, ni, nj)) {
       std::vector<std::string> group_impls;
       group_impls.reserve(group.impl_ids.size());
       for (const std::size_t j : group.impl_ids) group_impls.push_back(impl_names[j]);
@@ -413,10 +399,8 @@ SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
     if (backend_dead != nullptr && backend_dead->load(std::memory_order_acquire)) {
       break;  // the campaign's failover/quarantine path takes over
     }
-    if (counters != nullptr) {
-      counters->retry_rounds->add();
-      counters->retried_triples->add(failed);
-    }
+    metrics.retry_rounds->add();
+    metrics.retried_triples->add(failed);
     if (delay_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
     }
@@ -429,28 +413,19 @@ SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
                                 return r.harness_failure;
                               });
   shard.runs = std::move(runs);
-  shard.done = true;
   return shard;
 }
 
 /// Sub-shard of a dead backend with no compatible spare: every run is a
-/// fabricated harness failure, but the program metadata (name, fingerprint,
-/// input serializations, regeneration count) is still generated for real so
-/// the merge and the split-invariant static-analysis accounting see the same
-/// program every healthy backend sees. Always tainted — never journaled.
+/// fabricated harness failure, but the program metadata (name, input
+/// serializations, regeneration count) is still generated for real so the
+/// merge and the split-invariant static-analysis accounting see the same
+/// program every healthy backend sees.
 SubShard fabricate_shard_unit(const Campaign& campaign,
                               const std::vector<std::string>& impl_names,
                               int p) {
-  SubShard shard;
-  const TestCase test = campaign.make_test_case(p);
-  shard.regeneration_attempts = test.regeneration_attempts;
-  shard.program_name = test.program.name();
-  shard.fingerprint = test.program.fingerprint();
   const auto ni = static_cast<std::size_t>(campaign.config().inputs_per_program);
-  shard.input_texts.resize(ni);
-  for (std::size_t i = 0; i < ni; ++i) {
-    shard.input_texts[i] = test.inputs[i].to_string();
-  }
+  SubShard shard = shard_metadata(campaign.make_test_case(p), ni);
   shard.runs.reserve(ni * impl_names.size());
   for (std::size_t i = 0; i < ni; ++i) {
     for (const auto& name : impl_names) {
@@ -458,47 +433,344 @@ SubShard fabricate_shard_unit(const Campaign& campaign,
     }
   }
   shard.tainted = true;
-  shard.done = true;
   return shard;
 }
 
-/// Journal record of one completed sub-shard (raw runs only; verdicts are
-/// recomputed on restore).
-StoredShard to_stored(const SubShard& shard, int p, int backend_index) {
-  StoredShard out;
-  out.program_index = p;
-  out.backend_index = backend_index;
-  out.regeneration_attempts = shard.regeneration_attempts;
-  out.program_fingerprint = shard.fingerprint;
-  const std::size_t ni = shard.input_texts.size();
-  const std::size_t nj = ni == 0 ? 0 : shard.runs.size() / ni;
-  out.outcomes.reserve(ni);
-  for (std::size_t i = 0; i < ni; ++i) {
-    StoredOutcome stored;
-    stored.input_index = static_cast<int>(i);
-    stored.program_name = shard.program_name;
-    stored.input_text = shard.input_texts[i];
-    stored.runs.assign(shard.runs.begin() + static_cast<std::ptrdiff_t>(i * nj),
-                       shard.runs.begin() + static_cast<std::ptrdiff_t>((i + 1) * nj));
-    out.outcomes.push_back(std::move(stored));
+// ------------------------------------------------------------ plan phase ----
+
+/// Everything run() fixes before the first unit executes: the column layout
+/// and the failover wiring.
+struct RunPlan {
+  /// Per backend, its implementation names (executor order) and their store
+  /// identities. Backends in order, names in order within each, is the
+  /// canonical column order of every merged outcome.
+  std::vector<std::vector<std::string>> impls;
+  std::vector<std::vector<std::string>> identities;
+  /// Per-backend serialization for executors that are not thread-safe;
+  /// other backends' units keep running in parallel around them.
+  std::vector<std::unique_ptr<std::mutex>> exec_mutexes;
+  /// Index into the failover list of each backend's spare, or -1.
+  std::vector<int> spare_for;
+  std::vector<std::unique_ptr<std::mutex>> spare_mutexes;
+};
+
+RunPlan plan_run(const std::vector<CampaignBackend>& backends,
+                 const std::vector<Executor*>& failover) {
+  const std::size_t nb = backends.size();
+  RunPlan plan;
+  plan.impls.resize(nb);
+  plan.identities.resize(nb);
+  plan.exec_mutexes.resize(nb);
+  for (std::size_t b = 0; b < nb; ++b) {
+    const Executor& executor = *backends[b].executor;
+    plan.impls[b] = executor.implementations();
+    for (const auto& name : plan.impls[b]) {
+      plan.identities[b].push_back(
+          store_impl_identity(name, executor.impl_identity(name)));
+    }
+    if (!executor.thread_safe()) {
+      plan.exec_mutexes[b] = std::make_unique<std::mutex>();
+    }
+  }
+
+  // Spare assignment: each backend gets the first unclaimed spare whose
+  // implementation list and per-name cache identities match it exactly —
+  // the condition under which substitution is invisible in the merged
+  // result (identical RunKeys, identical report columns).
+  plan.spare_for.assign(nb, -1);
+  plan.spare_mutexes.resize(failover.size());
+  std::vector<char> spare_taken(failover.size(), 0);
+  const auto matches = [&](const Executor& spare, std::size_t b) {
+    if (spare.implementations() != plan.impls[b]) return false;
+    for (std::size_t j = 0; j < plan.impls[b].size(); ++j) {
+      const std::string& name = plan.impls[b][j];
+      if (store_impl_identity(name, spare.impl_identity(name)) !=
+          plan.identities[b][j]) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (std::size_t b = 0; b < nb; ++b) {
+    for (std::size_t s = 0; s < failover.size(); ++s) {
+      if (spare_taken[s] || !matches(*failover[s], b)) continue;
+      spare_taken[s] = 1;
+      plan.spare_for[b] = static_cast<int>(s);
+      if (!failover[s]->thread_safe()) {
+        plan.spare_mutexes[s] = std::make_unique<std::mutex>();
+      }
+      break;
+    }
+  }
+  return plan;
+}
+
+// --------------------------------------------------------- execute phase ----
+
+/// What the execute phase hands to the merge.
+struct Execution {
+  std::vector<std::vector<SubShard>> grid;  ///< [program][backend]
+  /// Backends declared dead with no compatible spare, in backend order.
+  std::vector<std::string> lost_backends;
+  SchedulerStats scheduler_stats;
+};
+
+/// Runs every (program, backend) unit through the shard scheduler, then
+/// sweeps dead backends' tainted units onto their spares. Units are
+/// deterministic in isolation thanks to the per-program RandomEngine::fork
+/// streams in make_test_case, and every executed triple reaches the store
+/// as its batch completes, so a killed campaign re-run on the same store
+/// executes only the triples that never got there.
+Execution execute_units(const Campaign& campaign, const RunPlan& plan,
+                        const std::vector<Executor*>& failover,
+                        ResultStore* store, const SchedulerConfig& scheduler,
+                        const CampaignMetrics& metrics,
+                        const ProgressFn& progress) {
+  const auto& backends = campaign.backends();
+  const std::size_t nb = backends.size();
+  const int num_programs = campaign.config().num_programs;
+  const auto np = static_cast<std::size_t>(num_programs);
+
+  // Backend health: a backend whose units keep coming back fully exhausted
+  // (tainted even after run_shard_unit's retries) is declared dead after
+  // `retry.backend_death_threshold` consecutive tainted sub-shards. From
+  // then on its units go to a matching failover spare — or, with no spare,
+  // are fabricated without touching the executor and surface as quarantined
+  // triples plus a lost_backends entry.
+  struct BackendHealth {
+    std::atomic<int> consecutive{0};
+    std::atomic<bool> dead{false};
+  };
+  std::vector<BackendHealth> health(nb);
+  metrics.live_backends->set(static_cast<std::int64_t>(nb));
+  const int death_threshold = campaign.config().retry.backend_death_threshold;
+
+  // Executes one (program, backend) unit through whatever path the backend's
+  // health dictates, updating the health streak on the primary path.
+  const auto execute_unit = [&](std::size_t b, int p) -> SubShard {
+    if (health[b].dead.load(std::memory_order_acquire)) {
+      const int s = plan.spare_for[b];
+      if (s >= 0) {
+        metrics.failover_units->add();
+        const auto spare = static_cast<std::size_t>(s);
+        return run_shard_unit(campaign, *failover[spare],
+                              plan.spare_mutexes[spare].get(), plan.impls[b],
+                              plan.identities[b], store, p, static_cast<int>(b),
+                              metrics, nullptr);
+      }
+      metrics.fabricated_units->add();
+      return fabricate_shard_unit(campaign, plan.impls[b], p);
+    }
+    SubShard shard = run_shard_unit(
+        campaign, *backends[b].executor, plan.exec_mutexes[b].get(),
+        plan.impls[b], plan.identities[b], store, p, static_cast<int>(b),
+        metrics, &health[b].dead);
+    if (!shard.tainted) {
+      health[b].consecutive.store(0, std::memory_order_relaxed);
+      return shard;
+    }
+    const int streak =
+        health[b].consecutive.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (streak >= death_threshold &&
+        !health[b].dead.exchange(true, std::memory_order_release)) {
+      metrics.live_backends->add(-1);
+    }
+    return shard;
+  };
+
+  Execution out;
+  out.grid.assign(np, std::vector<SubShard>(nb));
+  std::vector<std::vector<int>> pending(nb);
+  for (auto& list : pending) {
+    list.resize(np);
+    for (std::size_t p = 0; p < np; ++p) list[p] = static_cast<int>(p);
+  }
+  std::vector<std::atomic<int>> remaining(np);
+  for (auto& left : remaining) left.store(static_cast<int>(nb), std::memory_order_relaxed);
+
+  int completed = 0;
+  std::mutex progress_mutex;
+  // Live-progress gauges for the sampler/heartbeat.
+  const std::size_t scheduled_units = np * nb;
+  metrics.units_total->set(static_cast<std::int64_t>(scheduled_units));
+  metrics.units_done->set(0);
+
+  const auto run_unit = [&](const ShardUnit& unit) {
+    const auto p = static_cast<std::size_t>(unit.program_index);
+    const std::uint64_t t0 = telemetry::Tracer::now_ns();
+    out.grid[p][unit.backend] = execute_unit(unit.backend, unit.program_index);
+    metrics.unit_micros->record((telemetry::Tracer::now_ns() - t0) / 1000);
+    metrics.units_done->add(1);
+    if (remaining[p].fetch_sub(1, std::memory_order_acq_rel) == 1 && progress) {
+      const std::lock_guard<std::mutex> lock(progress_mutex);
+      progress(++completed, num_programs);
+    }
+  };
+
+  const ShardScheduler shard_scheduler(
+      nb, scheduler, resolve_thread_count(campaign.config().threads));
+  {
+    telemetry::ScopedSpan schedule_span("campaign", "schedule");
+    if (schedule_span.active()) {
+      schedule_span.arg("units", static_cast<std::uint64_t>(scheduled_units));
+    }
+    out.scheduler_stats = shard_scheduler.run(pending, run_unit);
+  }
+
+  // Failover sweep: units of a dead backend that exhausted their retries
+  // BEFORE the death was detected (the streak that killed it) are re-run on
+  // its spare, restoring the exact runs a healthy campaign would have
+  // produced — a backend lost mid-campaign with a compatible spare leaves no
+  // trace in the merged result. Dead backends without a spare are reported
+  // as lost; their fabricated columns stay and become quarantine records.
+  for (std::size_t b = 0; b < nb; ++b) {
+    if (!health[b].dead.load(std::memory_order_acquire)) continue;
+    if (plan.spare_for[b] < 0) {
+      out.lost_backends.push_back(backends[b].name);
+      continue;
+    }
+    for (std::size_t p = 0; p < np; ++p) {
+      if (out.grid[p][b].tainted) out.grid[p][b] = execute_unit(b, static_cast<int>(p));
+    }
   }
   return out;
 }
 
-/// Rebuilds a SubShard from a journal record (already validated by the
-/// journal parse: outcomes slotted 0..n-1, one run per backend impl).
-SubShard from_stored(const StoredShard& stored) {
-  SubShard shard;
-  shard.regeneration_attempts = stored.regeneration_attempts;
-  shard.fingerprint = stored.program_fingerprint;
-  shard.input_texts.reserve(stored.outcomes.size());
-  for (const auto& outcome : stored.outcomes) {
-    if (shard.program_name.empty()) shard.program_name = outcome.program_name;
-    shard.input_texts.push_back(outcome.input_text);
-    shard.runs.insert(shard.runs.end(), outcome.runs.begin(), outcome.runs.end());
+// ----------------------------------------------------------- merge phase ----
+
+/// Joins program `p`'s sub-shards — backend columns concatenated per input
+/// row — and classifies every outcome. Divergent triples need the AST, which
+/// no sub-shard retains, so the test case is regenerated, but only for
+/// divergent programs (the common non-divergent program merges without
+/// touching the generator).
+MergedShard merge_program(const Campaign& campaign, const RunPlan& plan,
+                          const core::OutlierDetector& detector, int p,
+                          std::vector<SubShard>& row) {
+  MergedShard shard;
+  shard.regeneration_attempts = row[0].regeneration_attempts;
+  const std::size_t ni = row[0].input_texts.size();
+  shard.outcomes.reserve(ni);
+  for (std::size_t i = 0; i < ni; ++i) {
+    TestOutcome outcome;
+    outcome.program_index = p;
+    outcome.input_index = static_cast<int>(i);
+    outcome.program_name = row[0].program_name;
+    outcome.input_text = row[0].input_texts[i];
+    for (std::size_t b = 0; b < row.size(); ++b) {
+      const std::size_t nj = plan.impls[b].size();
+      const auto begin = row[b].runs.begin() + static_cast<std::ptrdiff_t>(i * nj);
+      outcome.runs.insert(outcome.runs.end(), std::make_move_iterator(begin),
+                          std::make_move_iterator(
+                              begin + static_cast<std::ptrdiff_t>(nj)));
+    }
+    classify_outcome(outcome, detector);
+    shard.outcomes.push_back(std::move(outcome));
   }
-  shard.done = true;
+  if (std::any_of(shard.outcomes.begin(), shard.outcomes.end(),
+                  [](const TestOutcome& o) { return outcome_class(o).divergent(); })) {
+    collect_divergent(shard, campaign.make_test_case(p), p);
+  }
   return shard;
+}
+
+/// Static-analysis accounting of program `p`, derived from its regeneration
+/// count alone so it is identical whether the program was executed or
+/// served from the store. Every checked draft is re-derived from the same
+/// seed stream make_test_case used — the filtered ones (attempt <
+/// regeneration_attempts) for the findings tally, plus the accepted one for
+/// the interval-precision delta: a draft the affine-only baseline calls racy
+/// but interval analysis proves clean is by construction the accepted draft,
+/// never a filtered one.
+void account_static_analysis(const core::ProgramGenerator& generator,
+                             std::uint64_t seed, int p,
+                             int regeneration_attempts,
+                             StaticAnalysisStats& stats) {
+  stats.programs_checked += regeneration_attempts + 1;
+  stats.programs_filtered += regeneration_attempts;
+  RandomEngine campaign_rng(seed);
+  const std::uint64_t draft_seed =
+      campaign_rng.fork(static_cast<std::uint64_t>(p)).next_u64();
+  analysis::AnalyzeOptions affine_only;
+  affine_only.use_intervals = false;
+  analysis::AnalyzerStats interval_stats;
+  for (int attempt = 0; attempt <= regeneration_attempts; ++attempt) {
+    const ast::Program draft = generator.generate(
+        "test_" + std::to_string(p), hash_combine(draft_seed, attempt));
+    const auto report =
+        analysis::analyze_races(draft, analysis::AnalyzeOptions{}, &interval_stats);
+    if (attempt < regeneration_attempts) {
+      for (const auto& finding : report.findings) {
+        ++stats.findings_by_kind[static_cast<int>(finding.kind)];
+      }
+    }
+    if (report.race_free() &&
+        !analysis::analyze_races(draft, affine_only).race_free()) {
+      ++stats.interval_rescued_drafts;
+    }
+  }
+  stats.interval_disjoint_pairs += interval_stats.interval_disjoint_pairs;
+  stats.interval_mod_rewrites += interval_stats.mod_rewrites;
+}
+
+/// Folds one merged program into the campaign totals, per-implementation
+/// outlier counts, and quarantine list.
+void aggregate_program(MergedShard& shard, int p, CampaignResult& result) {
+  result.regenerated_programs += shard.regeneration_attempts > 0 ? 1 : 0;
+  for (auto& triple : shard.divergent) {
+    result.divergent.push_back(std::move(triple));
+  }
+  for (auto& outcome : shard.outcomes) {
+    ++result.total_tests;
+    if (outcome.verdict.analyzable) ++result.analyzable_tests;
+    for (std::size_t r = 0; r < outcome.runs.size(); ++r) {
+      ++result.total_runs;
+      if (outcome.runs[r].status == core::RunStatus::Skipped) {
+        ++result.skipped_runs;
+      }
+      // A fabricated run surviving to the merge means retries and failover
+      // were both exhausted for this triple — quarantine it. The ordered
+      // merge makes the record list deterministic.
+      if (outcome.runs[r].harness_failure) {
+        result.robustness.quarantined.push_back(
+            {p, outcome.input_index, outcome.runs[r].impl, outcome.program_name});
+      }
+      auto& counts = result.per_impl[outcome.runs[r].impl];
+      switch (outcome.verdict.per_run[r]) {
+        case core::OutlierKind::Slow: ++counts.slow; break;
+        case core::OutlierKind::Fast:
+          ++counts.fast;
+          if (outcome.divergence.diverges[r]) ++counts.fast_with_divergence;
+          break;
+        case core::OutlierKind::Crash: ++counts.crash; break;
+        case core::OutlierKind::Hang: ++counts.hang; break;
+        case core::OutlierKind::None: break;
+      }
+    }
+    result.outcomes.push_back(std::move(outcome));
+  }
+}
+
+/// The merge phase: programs in order, so the result does not depend on the
+/// thread count, the batch size, the steal schedule, or sub-shard
+/// completion order.
+void merge_units(const Campaign& campaign, const RunPlan& plan,
+                 const core::ProgramGenerator& generator,
+                 std::vector<std::vector<SubShard>>& grid,
+                 CampaignResult& result) {
+  telemetry::ScopedSpan merge_span("campaign", "merge");
+  const CampaignConfig& config = campaign.config();
+  core::OutlierParams params;
+  params.alpha = config.alpha;
+  params.beta = config.beta;
+  params.min_time_us = static_cast<double>(config.min_time_us);
+  const core::OutlierDetector detector(params);
+  for (int p = 0; p < config.num_programs; ++p) {
+    MergedShard shard = merge_program(campaign, plan, detector, p,
+                                      grid[static_cast<std::size_t>(p)]);
+    account_static_analysis(generator, config.seed, p,
+                            shard.regeneration_attempts, result.analysis);
+    aggregate_program(shard, p, result);
+  }
 }
 
 }  // namespace
@@ -523,80 +795,10 @@ RobustnessCounters Campaign::robustness_counters() const noexcept {
       delta(metrics_.failover_units->value(), counters_base_.failover_units);
   c.fabricated_units = delta(metrics_.fabricated_units->value(),
                              counters_base_.fabricated_units);
-  c.journal_failures = delta(metrics_.journal_failures->value(),
-                             counters_base_.journal_failures);
   return c;
 }
 
-std::uint64_t Campaign::checkpoint_key() const {
-  const auto& g = config_.generator;
-  // v2 covers the backend split: sub-shard ownership is part of the journal
-  // contract, so a re-split campaign starts a fresh journal instead of
-  // restoring records to the wrong backend.
-  std::string material = "ompfuzz-campaign v2";
-  material += ";seed=" + std::to_string(config_.seed);
-  material += ";inputs_per_program=" + std::to_string(config_.inputs_per_program);
-  material += ";gen=" + std::to_string(g.max_expression_size) + "," +
-              std::to_string(g.max_nesting_levels) + "," +
-              std::to_string(g.max_lines_in_block) + "," +
-              std::to_string(g.array_size) + "," +
-              std::to_string(g.max_same_level_blocks) + "," +
-              (g.math_func_allowed ? "1" : "0") + "," +
-              format_double(g.math_func_probability) + "," +
-              std::to_string(g.input_samples_per_run) + "," +
-              std::to_string(g.num_threads) + "," +
-              std::to_string(g.max_loop_trip_count) + "," +
-              format_double(g.p_if_block) + "," + format_double(g.p_for_block) +
-              "," + format_double(g.p_openmp_block) + "," +
-              format_double(g.p_reduction) + "," + format_double(g.p_critical) +
-              "," + format_double(g.p_parallel_in_loop);
-  for (const auto& backend : backends_) {
-    material += ";backend=" + backend.name;
-    for (const auto& name : backend.executor->implementations()) {
-      material += ";impl=" + name + "=" + backend.executor->impl_identity(name);
-    }
-  }
-  return fnv1a64(material);
-}
-
 CampaignResult Campaign::run(const ProgressFn& progress) {
-  const std::size_t nb = backends_.size();
-  const auto np = static_cast<std::size_t>(config_.num_programs);
-  const auto ni = static_cast<std::size_t>(config_.inputs_per_program);
-
-  // Implementation layout: backends in order, implementations in executor
-  // order within each — the canonical column order of every merged outcome.
-  std::vector<std::vector<std::string>> backend_impls(nb);
-  std::vector<std::vector<std::string>> backend_identities(nb);
-  CampaignResult result;
-  bool identities_known = true;
-  for (std::size_t b = 0; b < nb; ++b) {
-    backend_impls[b] = backends_[b].executor->implementations();
-    backend_identities[b].reserve(backend_impls[b].size());
-    for (const auto& name : backend_impls[b]) {
-      backend_identities[b].push_back(store_impl_identity(
-          name, backends_[b].executor->impl_identity(name)));
-      if (backend_identities[b].back().empty()) identities_known = false;
-      result.impl_names.push_back(name);
-    }
-  }
-  for (const auto& name : result.impl_names) result.per_impl[name];
-
-  core::OutlierParams params;
-  params.alpha = config_.alpha;
-  params.beta = config_.beta;
-  params.min_time_us = static_cast<double>(config_.min_time_us);
-  const core::OutlierDetector detector(params);
-
-  // Per-backend serialization for executors that are not thread-safe; other
-  // backends' units keep running in parallel around them.
-  std::vector<std::unique_ptr<std::mutex>> exec_mutexes(nb);
-  for (std::size_t b = 0; b < nb; ++b) {
-    if (!backends_[b].executor->thread_safe()) {
-      exec_mutexes[b] = std::make_unique<std::mutex>();
-    }
-  }
-
   // Fresh telemetry baselines for this run: the registry counters are
   // process-wide and monotonic, so the per-run accessors
   // (robustness_counters, run_metrics) subtract the values captured here.
@@ -607,411 +809,27 @@ CampaignResult Campaign::run(const ProgressFn& progress) {
   counters_base_.retry_rounds = metrics_.retry_rounds->value();
   counters_base_.failover_units = metrics_.failover_units->value();
   counters_base_.fabricated_units = metrics_.fabricated_units->value();
-  counters_base_.journal_failures = metrics_.journal_failures->value();
-  const UnitRetryCounters retry_counters{metrics_.retried_triples,
-                                         metrics_.retry_rounds};
   telemetry::ScopedSpan run_span("campaign", "run");
 
-  // Backend health: a backend whose units keep coming back fully exhausted
-  // (tainted even after run_shard_unit's retries) is declared dead after
-  // `retry.backend_death_threshold` consecutive tainted sub-shards. From
-  // then on its units go to a matching failover spare — or, with no spare,
-  // are fabricated without touching the executor and surface as quarantined
-  // triples plus a lost_backends entry.
-  struct BackendHealth {
-    std::atomic<int> consecutive{0};
-    std::atomic<bool> dead{false};
-  };
-  std::vector<BackendHealth> health(nb);
-  metrics_.live_backends->set(static_cast<std::int64_t>(nb));
-
-  // Spare assignment: each backend gets the first unclaimed spare whose
-  // implementation list and per-name cache identities match it exactly —
-  // the condition under which substitution is invisible in the merged
-  // result (identical RunKeys, identical report columns).
-  std::vector<int> spare_for(nb, -1);
-  std::vector<std::unique_ptr<std::mutex>> spare_mutexes(failover_.size());
-  {
-    std::vector<char> spare_taken(failover_.size(), 0);
-    for (std::size_t b = 0; b < nb; ++b) {
-      for (std::size_t s = 0; s < failover_.size(); ++s) {
-        if (spare_taken[s]) continue;
-        if (failover_[s]->implementations() != backend_impls[b]) continue;
-        bool identical = true;
-        for (std::size_t j = 0; j < backend_impls[b].size(); ++j) {
-          if (store_impl_identity(backend_impls[b][j],
-                                  failover_[s]->impl_identity(
-                                      backend_impls[b][j])) !=
-              backend_identities[b][j]) {
-            identical = false;
-            break;
-          }
-        }
-        if (!identical) continue;
-        spare_taken[s] = 1;
-        spare_for[b] = static_cast<int>(s);
-        if (!failover_[s]->thread_safe()) {
-          spare_mutexes[s] = std::make_unique<std::mutex>();
-        }
-        break;
-      }
+  const RunPlan plan = plan_run(backends_, failover_);
+  CampaignResult result;
+  for (const auto& names : plan.impls) {
+    for (const auto& name : names) {
+      result.impl_names.push_back(name);
+      result.per_impl[name];
     }
   }
 
-  // Executes one (program, backend) unit through whatever path the backend's
-  // health dictates, updating the health streak on the primary path. Shared
-  // by the scheduler's run_unit, the merge-time staleness repair, and the
-  // post-scheduler failover sweep.
-  const auto execute_unit = [&](std::size_t b, int p) -> SubShard {
-    if (health[b].dead.load(std::memory_order_acquire)) {
-      const int s = spare_for[b];
-      if (s >= 0) {
-        metrics_.failover_units->add();
-        return run_shard_unit(*this, *failover_[static_cast<std::size_t>(s)],
-                              spare_mutexes[static_cast<std::size_t>(s)].get(),
-                              backend_impls[b], backend_identities[b], store_, p,
-                              static_cast<int>(b), &retry_counters, nullptr);
-      }
-      metrics_.fabricated_units->add();
-      return fabricate_shard_unit(*this, backend_impls[b], p);
-    }
-    SubShard shard = run_shard_unit(*this, *backends_[b].executor,
-                                    exec_mutexes[b].get(), backend_impls[b],
-                                    backend_identities[b], store_, p,
-                                    static_cast<int>(b), &retry_counters,
-                                    &health[b].dead);
-    if (shard.tainted) {
-      const int streak =
-          health[b].consecutive.fetch_add(1, std::memory_order_acq_rel) + 1;
-      if (streak >= config_.retry.backend_death_threshold) {
-        if (!health[b].dead.exchange(true, std::memory_order_release)) {
-          metrics_.live_backends->add(-1);
-        }
-      }
-    } else {
-      health[b].consecutive.store(0, std::memory_order_relaxed);
-    }
-    return shard;
-  };
+  Execution execution = execute_units(*this, plan, failover_, store_, scheduler_,
+                                      metrics_, progress);
+  scheduler_stats_ = std::move(execution.scheduler_stats);
+  result.robustness.lost_backends = std::move(execution.lost_backends);
 
-  // Journal appends never abort the campaign: a failed append only means
-  // this unit re-executes on resume, which is strictly better than tearing
-  // the run down from a worker thread.
-  const auto journal_append = [&](const SubShard& shard, int p, std::size_t b) {
-    if (journal_ == nullptr || shard.tainted) return;
-    try {
-      journal_->append(to_stored(shard, p, static_cast<int>(b)));
-    } catch (const std::exception&) {
-      metrics_.journal_failures->add();
-    }
-  };
+  merge_units(*this, plan, generator_, execution.grid, result);
 
-  // Phase 0: restore completed sub-shards from the checkpoint journal.
-  // Verdicts and divergence are recomputed from the stored raw runs by the
-  // same deterministic pass a cold run uses.
-  std::vector<std::vector<SubShard>> grid(np);
-  for (auto& row : grid) row.resize(nb);
-  resumed_programs_ = 0;
-  if (journal_ != nullptr) {
-    telemetry::ScopedSpan restore_span("campaign", "restore");
-    // Resuming needs every implementation's cache identity: checkpoint_key()
-    // cannot otherwise detect that an identity-less executor was
-    // reconfigured between runs, and stale sub-shards would masquerade as
-    // results of the new configuration. Such campaigns still journal (the
-    // records describe this run faithfully) — they just never restore.
-    std::vector<JournalBackend> journal_backends;
-    journal_backends.reserve(nb);
-    for (std::size_t b = 0; b < nb; ++b) {
-      journal_backends.push_back({backends_[b].name, backend_impls[b]});
-    }
-    const auto loaded = journal_->open(checkpoint_key(), journal_backends,
-                                       resume_ && identities_known);
-    for (const auto& stored : loaded) {
-      const int p = stored.program_index;
-      if (p < 0 || p >= config_.num_programs) continue;
-      if (stored.outcomes.size() != ni) continue;
-      // Later records win: a sub-shard re-executed after a merge-time
-      // staleness repair appends a fresh record for the same unit.
-      grid[static_cast<std::size_t>(p)][static_cast<std::size_t>(
-          stored.backend_index)] = from_stored(stored);
-    }
-    // Cross-backend consistency: restored sub-shards of one program must
-    // describe the same generated program (fingerprint, name, input
-    // serializations). Disagreement means at least one record predates a
-    // generator change — re-execute all of them rather than merge rows from
-    // two different programs.
-    for (auto& row : grid) {
-      const SubShard* reference = nullptr;
-      bool consistent = true;
-      for (const auto& sub : row) {
-        if (!sub.done) continue;
-        if (reference == nullptr) {
-          reference = &sub;
-        } else if (sub.fingerprint != reference->fingerprint ||
-                   sub.program_name != reference->program_name ||
-                   sub.input_texts != reference->input_texts) {
-          consistent = false;
-        }
-      }
-      if (!consistent) {
-        for (auto& sub : row) sub = SubShard{};
-      }
-    }
-    for (const auto& row : grid) {
-      if (std::all_of(row.begin(), row.end(),
-                      [](const SubShard& s) { return s.done; })) {
-        ++resumed_programs_;
-      }
-    }
-  }
-
-  // Phase 1: schedule the remaining units — one per (program, backend),
-  // deterministic in isolation thanks to the per-program RandomEngine::fork
-  // streams in make_test_case. Each completed unit is journaled durably
-  // before it counts as progress, so a kill can only lose in-flight units.
-  std::vector<std::vector<int>> pending(nb);
-  std::vector<std::atomic<int>> remaining(np);
-  for (std::size_t p = 0; p < np; ++p) {
-    int left = 0;
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (!grid[p][b].done) {
-        pending[b].push_back(static_cast<int>(p));
-        ++left;
-      }
-    }
-    remaining[p].store(left, std::memory_order_relaxed);
-  }
-
-  int completed = resumed_programs_;
-  if (progress && completed > 0) progress(completed, config_.num_programs);
-  std::mutex progress_mutex;
-
-  // Live-progress gauges for the sampler/heartbeat: total units this run
-  // must execute (resumed ones are already done) and units finished so far.
-  std::size_t scheduled_units = 0;
-  for (const auto& list : pending) scheduled_units += list.size();
-  metrics_.units_total->set(static_cast<std::int64_t>(scheduled_units));
-  metrics_.units_done->set(0);
-
-  const auto run_unit = [&](const ShardUnit& unit) {
-    const auto p = static_cast<std::size_t>(unit.program_index);
-    const std::size_t b = unit.backend;
-    const std::uint64_t t0 = telemetry::Tracer::now_ns();
-    SubShard shard = execute_unit(b, unit.program_index);
-    metrics_.unit_micros->record((telemetry::Tracer::now_ns() - t0) / 1000);
-    // A sub-shard tainted by a harness failure (compile/spawn infrastructure
-    // error) is not checkpointed: resuming must re-execute it rather than
-    // replay the transient failure as an observation.
-    journal_append(shard, unit.program_index, b);
-    grid[p][b] = std::move(shard);
-    metrics_.units_done->add(1);
-    if (remaining[p].fetch_sub(1, std::memory_order_acq_rel) == 1 && progress) {
-      const std::lock_guard<std::mutex> lock(progress_mutex);
-      progress(++completed, config_.num_programs);
-    }
-  };
-
-  const ShardScheduler scheduler(nb, scheduler_,
-                                 resolve_thread_count(config_.threads));
-  {
-    telemetry::ScopedSpan schedule_span("campaign", "schedule");
-    if (schedule_span.active()) {
-      schedule_span.arg("units",
-                        static_cast<std::uint64_t>(scheduled_units));
-    }
-    scheduler_stats_ = scheduler.run(pending, run_unit);
-  }
-
-  // Failover sweep: units of a dead backend that exhausted their retries
-  // BEFORE the death was detected (the streak that killed it) are re-run on
-  // its spare, restoring the exact runs a healthy campaign would have
-  // produced — a backend lost mid-campaign with a compatible spare leaves no
-  // trace in the merged result. Dead backends without a spare are reported
-  // as lost; their fabricated columns stay and become quarantine records.
-  for (std::size_t b = 0; b < nb; ++b) {
-    if (!health[b].dead.load(std::memory_order_acquire)) continue;
-    if (spare_for[b] < 0) {
-      result.robustness.lost_backends.push_back(backends_[b].name);
-      continue;
-    }
-    for (std::size_t p = 0; p < np; ++p) {
-      if (!grid[p][b].tainted) continue;
-      grid[p][b] = execute_unit(b, static_cast<int>(p));
-      journal_append(grid[p][b], static_cast<int>(p), b);
-    }
-  }
-
-  // Phase 2: ordered merge + aggregation. Every program's sub-shards are
-  // joined — backend columns concatenated per input row — classified, and
-  // counted in program order, so the result does not depend on the thread
-  // count, the batch size, the steal schedule, or sub-shard completion
-  // order. When the store is size-bounded and a journal is attached, the
-  // shards' RunKeys are collected here as GC pins.
-  const bool want_gc = store_ != nullptr && store_->config().max_bytes > 0;
-  std::vector<std::array<std::uint64_t, 2>> pins;
-  telemetry::ScopedSpan merge_span("campaign", "merge");  // closes with run()
-  for (std::size_t p = 0; p < np; ++p) {
-    auto& row = grid[p];
-    // Merge-time staleness repair: a live sub-shard regenerated its program,
-    // so a restored sub-shard that disagrees with it predates a generator
-    // change (checkpoint_key cannot see the algorithm itself). Re-execute
-    // the stale minority serially against the current program rather than
-    // merge columns from two different programs; the fresh record supersedes
-    // the stale one in the journal (later records win on restore).
-    const bool mismatched = std::any_of(
-        row.begin(), row.end(), [&](const SubShard& sub) {
-          return sub.fingerprint != row[0].fingerprint ||
-                 sub.input_texts != row[0].input_texts;
-        });
-    if (mismatched) {
-      const TestCase truth = make_test_case(static_cast<int>(p));
-      const std::uint64_t live_fp = truth.program.fingerprint();
-      std::vector<std::string> truth_inputs(ni);
-      for (std::size_t i = 0; i < ni; ++i) {
-        truth_inputs[i] = truth.inputs[i].to_string();
-      }
-      for (std::size_t b = 0; b < nb; ++b) {
-        // A row is current only if BOTH the program and the input
-        // serializations match what the generator produces today — a changed
-        // input generator leaves the fingerprint intact but would otherwise
-        // pair this row's runs with other backends' runs of different input
-        // values.
-        if (row[b].fingerprint == live_fp && row[b].input_texts == truth_inputs) {
-          continue;
-        }
-        row[b] = execute_unit(b, static_cast<int>(p));
-        journal_append(row[b], static_cast<int>(p), b);
-      }
-    }
-
-    MergedShard shard;
-    shard.program_fingerprint = row[0].fingerprint;
-    shard.regeneration_attempts = row[0].regeneration_attempts;
-    shard.outcomes.reserve(ni);
-    for (std::size_t i = 0; i < ni; ++i) {
-      TestOutcome outcome;
-      outcome.program_index = static_cast<int>(p);
-      outcome.input_index = static_cast<int>(i);
-      outcome.program_name = row[0].program_name;
-      outcome.input_text = row[0].input_texts[i];
-      for (std::size_t b = 0; b < nb; ++b) {
-        const std::size_t nj = backend_impls[b].size();
-        const auto begin =
-            row[b].runs.begin() + static_cast<std::ptrdiff_t>(i * nj);
-        outcome.runs.insert(outcome.runs.end(), std::make_move_iterator(begin),
-                            std::make_move_iterator(
-                                begin + static_cast<std::ptrdiff_t>(nj)));
-      }
-      classify_outcome(outcome, detector);
-      shard.outcomes.push_back(std::move(outcome));
-    }
-
-    // Divergent triples need the AST, which no sub-shard retains — the merge
-    // regenerates the test case, but only for divergent programs (the common
-    // non-divergent program merges without touching the generator). The
-    // fingerprint guards the regeneration exactly as on the resume path: a
-    // changed generator would pair a new source with old verdicts, so such
-    // triples are dropped instead.
-    if (std::any_of(shard.outcomes.begin(), shard.outcomes.end(),
-                    [](const TestOutcome& o) {
-                      return outcome_class(o).divergent();
-                    })) {
-      const TestCase test = make_test_case(static_cast<int>(p));
-      if (test.program.fingerprint() == shard.program_fingerprint) {
-        collect_divergent(shard, test, static_cast<int>(p));
-      }
-    }
-
-    result.regenerated_programs += shard.regeneration_attempts > 0 ? 1 : 0;
-    // Static-analysis accounting, derived from the journaled regeneration
-    // count alone so it is identical whether this program was executed,
-    // cached, or restored. The discarded drafts are re-derived from the same
-    // seed stream make_test_case used; only filtered programs pay the
-    // regeneration cost.
-    result.analysis.programs_checked += shard.regeneration_attempts + 1;
-    result.analysis.programs_filtered += shard.regeneration_attempts;
-    {
-      // Every checked draft is re-derived — the filtered ones (attempt <
-      // regeneration_attempts) for the findings tally, plus the accepted one
-      // for the interval-precision delta: a draft the affine-only baseline
-      // calls racy but interval analysis proves clean is by construction the
-      // accepted draft, never a filtered one.
-      RandomEngine campaign_rng(config_.seed);
-      const std::uint64_t draft_seed = campaign_rng.fork(p).next_u64();
-      analysis::AnalyzeOptions affine_only;
-      affine_only.use_intervals = false;
-      analysis::AnalyzerStats interval_stats;
-      for (int attempt = 0; attempt <= shard.regeneration_attempts; ++attempt) {
-        const ast::Program draft = generator_.generate(
-            "test_" + std::to_string(p), hash_combine(draft_seed, attempt));
-        const auto report = analysis::analyze_races(
-            draft, analysis::AnalyzeOptions{}, &interval_stats);
-        if (attempt < shard.regeneration_attempts) {
-          for (const auto& finding : report.findings) {
-            ++result.analysis.findings_by_kind[static_cast<int>(finding.kind)];
-          }
-        }
-        if (report.race_free() &&
-            !analysis::analyze_races(draft, affine_only).race_free()) {
-          ++result.analysis.interval_rescued_drafts;
-        }
-      }
-      result.analysis.interval_disjoint_pairs +=
-          interval_stats.interval_disjoint_pairs;
-      result.analysis.interval_mod_rewrites += interval_stats.mod_rewrites;
-    }
-    if (want_gc && journal_ != nullptr) {
-      for (const auto& outcome : shard.outcomes) {
-        for (std::size_t b = 0; b < nb; ++b) {
-          for (const auto& identity : backend_identities[b]) {
-            if (identity.empty()) continue;
-            pins.push_back(RunKey{shard.program_fingerprint,
-                                  outcome.input_text, identity}
-                               .digest());
-          }
-        }
-      }
-    }
-    for (auto& triple : shard.divergent) {
-      result.divergent.push_back(std::move(triple));
-    }
-    for (auto& outcome : shard.outcomes) {
-      ++result.total_tests;
-      if (outcome.verdict.analyzable) ++result.analyzable_tests;
-      for (std::size_t r = 0; r < outcome.runs.size(); ++r) {
-        ++result.total_runs;
-        if (outcome.runs[r].status == core::RunStatus::Skipped) {
-          ++result.skipped_runs;
-        }
-        // A fabricated run surviving to the merge means retries and failover
-        // were both exhausted for this triple — quarantine it. The ordered
-        // merge makes the record list deterministic.
-        if (outcome.runs[r].harness_failure) {
-          result.robustness.quarantined.push_back(
-              {static_cast<int>(p), outcome.input_index, outcome.runs[r].impl,
-               outcome.program_name});
-        }
-        auto& counts = result.per_impl[outcome.runs[r].impl];
-        switch (outcome.verdict.per_run[r]) {
-          case core::OutlierKind::Slow: ++counts.slow; break;
-          case core::OutlierKind::Fast:
-            ++counts.fast;
-            if (outcome.divergence.diverges[r]) ++counts.fast_with_divergence;
-            break;
-          case core::OutlierKind::Crash: ++counts.crash; break;
-          case core::OutlierKind::Hang: ++counts.hang; break;
-          case core::OutlierKind::None: break;
-        }
-      }
-      result.outcomes.push_back(std::move(outcome));
-    }
-  }
-
-  // Phase 3: size-bounded store GC. Every journaled shard's RunKeys are
-  // pinned — a resume must find its cached triples even after eviction —
-  // then least-recently-used records are evicted until the cache fits
-  // store.max_bytes.
-  if (want_gc) store_->gc(pins);
+  // Size-bounded store GC: evict least-recently-used records until the
+  // cache fits store.max_bytes (a no-op for an unbounded store).
+  if (store_ != nullptr) store_->gc();
   return result;
 }
 

@@ -70,11 +70,11 @@ struct DivergentTriple {
 
 /// Static-analysis accounting of the generation phase. Split-invariant by
 /// construction: computed during the ordered merge from each program's
-/// journaled regeneration count by deterministically re-deriving the
-/// discarded drafts, so the numbers are bit-identical across thread counts,
-/// backend splits, and resumes — they can live in the report JSON.
+/// regeneration count by deterministically re-deriving the discarded drafts,
+/// so the numbers are bit-identical across thread counts, backend splits,
+/// and store-backed reruns — they can live in the report JSON.
 struct StaticAnalysisStats {
-  int programs_checked = 0;   ///< drafts run through check_races
+  int programs_checked = 0;   ///< drafts run through analyze_races
   int programs_filtered = 0;  ///< racy drafts discarded and regenerated
   /// Findings across filtered drafts, indexed by analysis::RaceKind.
   std::array<int, analysis::kNumRaceKinds> findings_by_kind{};
@@ -130,7 +130,6 @@ struct RobustnessCounters {
   std::uint64_t retry_rounds = 0;      ///< backoff rounds slept before retrying
   std::uint64_t failover_units = 0;    ///< sub-shards executed by a spare
   std::uint64_t fabricated_units = 0;  ///< sub-shards fabricated without dispatch
-  std::uint64_t journal_failures = 0;  ///< checkpoint appends that failed
 };
 
 struct CampaignResult {
@@ -158,6 +157,23 @@ struct CampaignResult {
 /// must tolerate being called from worker threads.
 using ProgressFn = std::function<void(int, int)>;
 
+/// A campaign's cached references into the process-wide telemetry registry.
+/// Registered once at construction so the hot paths (campaign workers,
+/// make_test_case) never pay a registry lookup; the names are the public
+/// metrics catalog entry points (see README "Observability").
+struct CampaignMetrics {
+  telemetry::Counter* retried_triples;   ///< campaign.retried_triples
+  telemetry::Counter* retry_rounds;      ///< campaign.retry_rounds
+  telemetry::Counter* failover_units;    ///< campaign.failover_units
+  telemetry::Counter* fabricated_units;  ///< campaign.fabricated_units
+  telemetry::Counter* analysis_nanos;    ///< campaign.analysis_nanos
+  telemetry::Gauge* units_total;         ///< campaign.units_total
+  telemetry::Gauge* units_done;          ///< campaign.units_done
+  telemetry::Gauge* live_backends;       ///< campaign.live_backends
+  telemetry::Histogram* unit_micros;     ///< campaign.unit_micros
+  CampaignMetrics();
+};
+
 class Campaign {
  public:
   /// Single-backend campaign: every implementation of `executor` runs under
@@ -179,8 +195,8 @@ class Campaign {
   /// scheduled across `config.threads` workers in batches (with idle workers
   /// stealing from straggler batches) and aggregated in program order, so
   /// the result is bit-identical for every thread count, backend split,
-  /// batch size, and steal schedule — and, with a result store or checkpoint
-  /// attached, identical whether each run was executed, cached, or resumed
+  /// batch size, and steal schedule — and, with a result store attached,
+  /// identical whether each run was executed or served from the store
   /// (verdicts are recomputed from the raw runs).
   [[nodiscard]] CampaignResult run(const ProgressFn& progress = nullptr);
 
@@ -193,21 +209,11 @@ class Campaign {
   /// Attaches a persistent run cache (not owned; may be shared between
   /// campaigns). Before dispatching a batch, every (program, input, impl)
   /// triple whose key is cached is satisfied from the store; executed
-  /// triples are written back as batches complete. Implementations whose
-  /// executor reports an empty impl_identity() are never cached.
+  /// triples are written back durably as batches complete. This is also how
+  /// a killed campaign resumes: re-running it on the same store executes
+  /// only the triples whose records were never written. Implementations
+  /// whose executor reports an empty impl_identity() are never cached.
   void set_result_store(ResultStore* store) noexcept { store_ = store; }
-
-  /// Attaches a checkpoint journal (not owned). Completed program shards
-  /// are streamed to it durably; with `resume` true, shards already in the
-  /// journal (written by a previous — possibly killed — run with the same
-  /// checkpoint_key()) are restored instead of re-executed. Resume
-  /// additionally requires every implementation to report a non-empty
-  /// impl_identity() — without it a reconfigured executor would be
-  /// indistinguishable from the one that wrote the journal.
-  void set_checkpoint(CheckpointJournal* journal, bool resume) noexcept {
-    journal_ = journal;
-    resume_ = resume;
-  }
 
   /// Registers a failover spare (not owned; callable any time before run()).
   /// A spare stands in for the first backend that is declared dead (see
@@ -232,26 +238,13 @@ class Campaign {
     return telemetry::Registry::global().snapshot().delta_from(metrics_base_);
   }
 
-  /// Hash of everything that determines sub-shard contents and ownership:
-  /// seed, per-program input count, the full generator config, and the
-  /// backend split — each backend's name plus its implementations' names and
-  /// cache identities. num_programs is deliberately excluded — program i
-  /// does not depend on it, so a grown campaign resumes its prefix. A
-  /// changed split is a different key: journaled sub-shards are pinned to
-  /// the backend that owns their implementation columns.
-  [[nodiscard]] std::uint64_t checkpoint_key() const;
-
-  /// Shards restored from the journal by the last run() (0 without resume;
-  /// a program counts once all of its backends restored).
-  [[nodiscard]] int resumed_programs() const noexcept { return resumed_programs_; }
-
   /// What the shard scheduler did during the last run() (batches formed,
   /// units stolen, ...). Bookkeeping only — results never depend on it.
   [[nodiscard]] const SchedulerStats& scheduler_stats() const noexcept {
     return scheduler_stats_;
   }
 
-  /// Wall time spent inside check_races across every draft this campaign
+  /// Wall time spent inside analyze_races across every draft this campaign
   /// generated (workers included). Timing bookkeeping only — kept out of
   /// CampaignResult and the JSON so reports stay deterministic.
   [[nodiscard]] double analysis_seconds() const noexcept {
@@ -266,35 +259,14 @@ class Campaign {
   }
 
  private:
-  /// Cached references into the process-wide telemetry registry. Registered
-  /// once at construction so the hot paths (campaign workers, make_test_case)
-  /// never pay a registry lookup; the names are the public metrics catalog
-  /// entry points (see README "Observability").
-  struct Metrics {
-    telemetry::Counter* retried_triples;   ///< campaign.retried_triples
-    telemetry::Counter* retry_rounds;      ///< campaign.retry_rounds
-    telemetry::Counter* failover_units;    ///< campaign.failover_units
-    telemetry::Counter* fabricated_units;  ///< campaign.fabricated_units
-    telemetry::Counter* journal_failures;  ///< campaign.journal_failures
-    telemetry::Counter* analysis_nanos;    ///< campaign.analysis_nanos
-    telemetry::Gauge* units_total;         ///< campaign.units_total
-    telemetry::Gauge* units_done;          ///< campaign.units_done
-    telemetry::Gauge* live_backends;       ///< campaign.live_backends
-    telemetry::Histogram* unit_micros;     ///< campaign.unit_micros
-    Metrics();
-  };
-
   CampaignConfig config_;
   std::vector<CampaignBackend> backends_;
   std::vector<Executor*> failover_;  ///< spares, in registration order
   SchedulerConfig scheduler_;
   core::ProgramGenerator generator_;
   ResultStore* store_ = nullptr;
-  CheckpointJournal* journal_ = nullptr;
-  bool resume_ = false;
-  int resumed_programs_ = 0;
   SchedulerStats scheduler_stats_;
-  Metrics metrics_;
+  CampaignMetrics metrics_;
   /// Registry values when the last run() started (construction before that):
   /// the process-wide counters are monotonic, so per-campaign accessors
   /// report deltas from these baselines.

@@ -167,10 +167,6 @@ std::string render_robustness_summary(const CampaignResult& result,
   if (!result.robustness.lost_backends.empty()) {
     out += "  lost backends: " + join(result.robustness.lost_backends, ", ") + "\n";
   }
-  if (counters.journal_failures > 0) {
-    out += "  journal write failures: " +
-           std::to_string(counters.journal_failures) + "\n";
-  }
   const FaultInjector& injector = FaultInjector::instance();
   if (injector.enabled()) {
     out += "  fault injection: " + std::to_string(injector.total_injected()) +

@@ -98,7 +98,7 @@ SchedulerStats ShardScheduler::run(
     // Inline serial path: deterministic batch order, no worker threads (and
     // no mutex around a non-thread-safe executor needed upstream). Same
     // exception contract as the threaded path: every unit still runs (and
-    // reaches the caller's journal) before the first error rethrows, so
+    // reaches the result store) before the first error rethrows, so
     // crash-resume progress does not depend on the thread count.
     for (const auto& batch : batches) {
       for (const int p : batch->programs) {

@@ -36,7 +36,7 @@ namespace ompfuzz::harness {
 class Executor;
 
 /// One execution backend of a multi-backend campaign: a (non-owned) executor
-/// plus a stable name used by the checkpoint journal and the reports.
+/// plus a stable name used by the reports.
 struct CampaignBackend {
   Executor* executor = nullptr;
   std::string name;

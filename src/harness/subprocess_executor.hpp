@@ -21,7 +21,8 @@
 //
 // On a machine with several OpenMP toolchains installed this class runs the
 // paper's experiment verbatim; with a single compiler, optimization levels
-// serve as implementation proxies (see DESIGN.md, substitutions).
+// serve as implementation proxies (same compile-run-compare pipeline, one
+// toolchain).
 #pragma once
 
 #include <cstddef>

@@ -8,7 +8,8 @@
 //     data-race-free programs the generator produces (shared state is only
 //     touched through reductions, criticals, and disjoint array partitions);
 //   * "#pragma omp for" loops distribute iterations with the static schedule
-//     (src/runtime/sched.hpp semantics inlined here as contiguous chunks);
+//     (contiguous chunks, static_chunk below) or, for an explicit chunked or
+//     dynamic schedule clause, round-robin chunks in thread order;
 //   * reductions keep a per-thread private comp initialized to the operator
 //     identity and combine in thread order at region exit;
 //   * critical sections count acquisitions for the contention cost models;

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <functional>
 
-#include "core/race_checker.hpp"
+#include "analysis/race_analyzer.hpp"
 #include "support/error.hpp"
 
 namespace ompfuzz::reduce {
@@ -209,7 +209,7 @@ bool structurally_valid(const Program& program) {
   }
   if (!scopes_ok(program)) return false;
   if (!no_nested_parallel(program)) return false;
-  return core::check_races(program).race_free();
+  return analysis::analyze_races(program).race_free();
 }
 
 std::size_t max_stmt_depth(const Program& program) {

@@ -158,18 +158,17 @@ struct SchedulerConfig {
   void validate() const;
 };
 
-/// Knobs for the persistent result store and checkpoint journal (the
-/// [store] section). Consumed by support/result_store.hpp and the campaign.
+/// Knobs for the persistent result store (the [store] section). Consumed by
+/// support/result_store.hpp and the campaign.
 struct StoreConfig {
   /// Off by default: campaigns only persist results when asked to.
   bool enabled = false;
-  /// Root directory: run-cache records land in `<dir>/runs/`, the campaign
-  /// checkpoint journal in `<dir>/checkpoint.journal`.
+  /// Root directory: run-cache records land in `<dir>/runs/`.
   std::string dir = "_store";
   /// Size budget for the run cache in bytes; 0 = unbounded. When set,
   /// ResultStore::gc() evicts least-recently-used record files (by atime)
   /// until the cache fits — the campaign runs it after every completed
-  /// campaign, pinning the records its checkpoint journal still references.
+  /// campaign.
   std::int64_t max_bytes = 0;
 
   /// Reads the [store] section; unspecified keys keep their defaults.

@@ -19,7 +19,6 @@
 #include "support/error.hpp"
 #include "support/fault_injection.hpp"
 #include "support/rng.hpp"
-#include "support/string_utils.hpp"
 
 namespace ompfuzz {
 
@@ -388,15 +387,9 @@ bool older(const RecordFile& a, const RecordFile& b) {
 
 }  // namespace
 
-ResultStore::GcStats ResultStore::gc(
-    std::span<const std::array<std::uint64_t, 2>> pinned) {
+ResultStore::GcStats ResultStore::gc() {
   GcStats out;
   if (config_.max_bytes <= 0) return out;
-
-  std::set<std::string> pin_set;
-  for (const auto& digest : pinned) {
-    pin_set.insert(hex64(digest[0]) + hex64(digest[1]));
-  }
 
   // Memo hits never touch the disk, so a record this process kept reading
   // from memory would look cold to the atime order. The memo is exactly the
@@ -454,10 +447,6 @@ ResultStore::GcStats ResultStore::gc(
   std::sort(records.begin(), records.end(), older);
   for (const auto& record : records) {
     if (total <= static_cast<std::uint64_t>(config_.max_bytes)) break;
-    if (pin_set.contains(record.hex)) {
-      ++out.pinned_files;
-      continue;
-    }
     if (::unlink(record.path.c_str()) != 0) continue;
     total -= record.bytes;
     ++out.evicted_files;
@@ -468,278 +457,6 @@ ResultStore::GcStats ResultStore::gc(
     memo_.erase(record.hex);
   }
   return out;
-}
-
-// --------------------------------------------------- CheckpointJournal -----
-
-namespace {
-
-std::string header_payload(std::uint64_t campaign_key,
-                           const std::vector<JournalBackend>& backends) {
-  // v3 splits the implementation list into per-backend groups and stamps
-  // each shard record with its owning backend; v2 (and v1) headers no
-  // longer match, so old journals start fresh instead of resuming. The
-  // header is compared verbatim against the expected bytes — any layout
-  // difference (backend order, names, implementation grouping) is a
-  // different campaign.
-  std::string out = "ompfuzz-journal v3\n";
-  out += "campaign " + hex64(campaign_key) + "\n";
-  out += "backends " + std::to_string(backends.size()) + "\n";
-  for (const auto& backend : backends) {
-    out += "backend " + backend.name + " " +
-           std::to_string(backend.impl_names.size()) + "\n";
-    for (const auto& name : backend.impl_names) out += "impl " + name + "\n";
-  }
-  return out;
-}
-
-std::string shard_payload(const StoredShard& shard,
-                          const std::vector<JournalBackend>& backends) {
-  const auto b = static_cast<std::size_t>(shard.backend_index);
-  OMPFUZZ_CHECK(shard.backend_index >= 0 && b < backends.size(),
-                "shard backend index out of range");
-  const std::size_t num_impls = backends[b].impl_names.size();
-  std::string out = "shard " + std::to_string(shard.program_index) + " " +
-                    std::to_string(shard.backend_index) + " " +
-                    std::to_string(shard.regeneration_attempts) + " " +
-                    hex64(shard.program_fingerprint) + " " +
-                    std::to_string(shard.outcomes.size()) + "\n";
-  for (const auto& outcome : shard.outcomes) {
-    OMPFUZZ_CHECK(outcome.runs.size() == num_impls,
-                  "shard outcome has wrong run count");
-    out += "name " + outcome.program_name + "\n";
-    out += "index " + std::to_string(outcome.input_index) + "\n";
-    out += "input " + outcome.input_text + "\n";
-    for (std::size_t r = 0; r < outcome.runs.size(); ++r) {
-      const auto& run = outcome.runs[r];
-      out += "run " + std::to_string(r) + " " +
-             std::to_string(static_cast<int>(run.status)) + " " +
-             hex64(std::bit_cast<std::uint64_t>(run.time_us)) + " " +
-             hex64(std::bit_cast<std::uint64_t>(run.output)) + "\n";
-    }
-  }
-  return out;
-}
-
-/// Parses one sub-shard payload. Returns nullopt on any malformation (the
-/// truncated / corrupt final record of a crashed campaign).
-std::optional<StoredShard> parse_shard_payload(
-    std::string_view payload, const std::vector<JournalBackend>& backends) {
-  LineCursor cursor(payload);
-  const auto head = cursor.tagged("shard ");
-  if (!head) return std::nullopt;
-  std::int64_t program_index = 0, backend_index = 0, regen = 0, n_outcomes = 0;
-  std::uint64_t fingerprint = 0;
-  {
-    const auto fields = split(*head, ' ');
-    if (fields.size() != 5 || !parse_i64(fields[0], program_index) ||
-        !parse_i64(fields[1], backend_index) || !parse_i64(fields[2], regen) ||
-        !parse_hex64(fields[3], fingerprint) ||
-        !parse_i64(fields[4], n_outcomes)) {
-      return std::nullopt;
-    }
-  }
-  if (program_index < 0 || regen < 0 || n_outcomes < 0) return std::nullopt;
-  // Bound the untrusted count before allocating for it: every outcome needs
-  // at least a "name"/"index"/"input" line in the payload, so a count beyond
-  // the payload size can only come from a corrupt record — reject it rather
-  // than let resize() throw out of open().
-  if (static_cast<std::uint64_t>(n_outcomes) > payload.size()) {
-    return std::nullopt;
-  }
-  if (backend_index < 0 ||
-      backend_index >= static_cast<std::int64_t>(backends.size())) {
-    return std::nullopt;
-  }
-  const auto& impl_names =
-      backends[static_cast<std::size_t>(backend_index)].impl_names;
-
-  StoredShard shard;
-  shard.program_index = static_cast<int>(program_index);
-  shard.backend_index = static_cast<int>(backend_index);
-  shard.regeneration_attempts = static_cast<int>(regen);
-  shard.program_fingerprint = fingerprint;
-  // One outcome per input, slotted by input_index: the indices must form a
-  // permutation of 0..n-1, so the campaign can address restored runs by
-  // input row when it merges backends. Anything else can only come from a
-  // corrupt or hand-edited journal — reject the record.
-  shard.outcomes.resize(static_cast<std::size_t>(n_outcomes));
-  std::vector<char> seen(static_cast<std::size_t>(n_outcomes), 0);
-  for (std::int64_t i = 0; i < n_outcomes; ++i) {
-    StoredOutcome outcome;
-    const auto name = cursor.tagged("name ");
-    if (!name) return std::nullopt;
-    outcome.program_name = std::string(*name);
-    const auto index = cursor.tagged("index ");
-    std::int64_t input_index = 0;
-    if (!index || !parse_i64(*index, input_index)) return std::nullopt;
-    if (input_index < 0 || input_index >= n_outcomes ||
-        seen[static_cast<std::size_t>(input_index)]) {
-      return std::nullopt;
-    }
-    seen[static_cast<std::size_t>(input_index)] = 1;
-    outcome.input_index = static_cast<int>(input_index);
-    const auto input = cursor.tagged("input ");
-    if (!input) return std::nullopt;
-    outcome.input_text = std::string(*input);
-    for (std::size_t r = 0; r < impl_names.size(); ++r) {
-      const auto rec = cursor.tagged("run ");
-      if (!rec) return std::nullopt;
-      const auto fields = split(*rec, ' ');
-      std::int64_t impl_index = 0;
-      std::uint64_t time_bits = 0, output_bits = 0;
-      core::RunResult run;
-      if (fields.size() != 4 || !parse_i64(fields[0], impl_index) ||
-          impl_index != static_cast<std::int64_t>(r) ||
-          !parse_status(fields[1], run.status) ||
-          !parse_hex64(fields[2], time_bits) ||
-          !parse_hex64(fields[3], output_bits)) {
-        return std::nullopt;
-      }
-      run.impl = impl_names[r];
-      run.time_us = std::bit_cast<double>(time_bits);
-      run.output = std::bit_cast<double>(output_bits);
-      outcome.runs.push_back(std::move(run));
-    }
-    shard.outcomes[static_cast<std::size_t>(input_index)] = std::move(outcome);
-  }
-  return shard;
-}
-
-std::string frame_record(const std::string& payload) {
-  return "REC " + std::to_string(payload.size()) + " " + hex64(fnv1a64(payload)) +
-         "\n" + payload;
-}
-
-/// Reads the next framed record starting at `pos`. Returns false when the
-/// remaining bytes are not one complete, checksum-valid record (end of file
-/// or the torn tail of a crashed append); `pos` is left at the record start.
-bool read_record(std::string_view file, std::size_t& pos, std::string_view& payload) {
-  const std::size_t start = pos;
-  const std::size_t nl = file.find('\n', start);
-  if (nl == std::string_view::npos) return false;
-  const std::string_view header = file.substr(start, nl - start);
-  if (!header.starts_with("REC ")) return false;
-  const auto fields = split(header.substr(4), ' ');
-  std::int64_t length = 0;
-  std::uint64_t checksum = 0;
-  if (fields.size() != 2 || !parse_i64(fields[0], length) || length < 0 ||
-      !parse_hex64(fields[1], checksum)) {
-    return false;
-  }
-  const std::size_t body_start = nl + 1;
-  if (body_start + static_cast<std::size_t>(length) > file.size()) return false;
-  payload = file.substr(body_start, static_cast<std::size_t>(length));
-  if (fnv1a64(payload) != checksum) return false;
-  pos = body_start + static_cast<std::size_t>(length);
-  return true;
-}
-
-}  // namespace
-
-CheckpointJournal::CheckpointJournal(std::string path) : path_(std::move(path)) {
-  OMPFUZZ_CHECK(!path_.empty(), "checkpoint journal needs a path");
-}
-
-CheckpointJournal::~CheckpointJournal() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void CheckpointJournal::start_fresh(std::uint64_t campaign_key) {
-  write_file_atomic(path_, frame_record(header_payload(campaign_key, backends_)));
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND);
-  if (fd_ < 0) throw Error("checkpoint journal: cannot open " + path_);
-}
-
-std::vector<StoredShard> CheckpointJournal::open(
-    std::uint64_t campaign_key, const std::vector<std::string>& impl_names,
-    bool resume) {
-  const std::vector<JournalBackend> backends = {{"default", impl_names}};
-  return open(campaign_key, backends, resume);
-}
-
-std::vector<StoredShard> CheckpointJournal::open(
-    std::uint64_t campaign_key, std::span<const JournalBackend> backends,
-    bool resume) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  backends_.assign(backends.begin(), backends.end());
-
-  std::vector<StoredShard> shards;
-  std::string file;
-  if (resume) {
-    std::ifstream in(path_, std::ios::binary);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      file = buf.str();
-    }
-  }
-
-  std::size_t pos = 0;
-  bool header_ok = false;
-  if (!file.empty()) {
-    std::string_view payload;
-    if (read_record(file, pos, payload) &&
-        payload == header_payload(campaign_key, backends_)) {
-      header_ok = true;
-    }
-  }
-  if (!header_ok) {
-    // Fresh start: no file, resume declined, or the journal belongs to a
-    // different campaign configuration / backend layout.
-    start_fresh(campaign_key);
-    return shards;
-  }
-
-  std::size_t good_end = pos;  // end of the last well-formed record
-  std::string_view payload;
-  while (read_record(file, pos, payload)) {
-    auto shard = parse_shard_payload(payload, backends_);
-    if (!shard) break;  // corrupt record: stop at the last good shard
-    shards.push_back(std::move(*shard));
-    good_end = pos;
-  }
-
-  // Drop the torn/corrupt tail (if any) so appends extend a valid record
-  // sequence, then continue appending after the last good record.
-  fd_ = ::open(path_.c_str(), O_WRONLY);
-  if (fd_ < 0) throw Error("checkpoint journal: cannot reopen " + path_);
-  if (::ftruncate(fd_, static_cast<off_t>(good_end)) != 0 ||
-      ::lseek(fd_, 0, SEEK_END) < 0) {
-    throw Error("checkpoint journal: cannot truncate " + path_);
-  }
-  return shards;
-}
-
-void CheckpointJournal::append_record(const std::string& payload) {
-  OMPFUZZ_CHECK(fd_ >= 0, "checkpoint journal not opened");
-  const std::string framed = frame_record(payload);
-  std::size_t off = 0;
-  while (off < framed.size()) {
-    const ssize_t n = ::write(fd_, framed.data() + off, framed.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw Error("checkpoint journal: append failed for " + path_);
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd_) != 0) {
-    throw Error("checkpoint journal: fsync failed for " + path_);
-  }
-}
-
-void CheckpointJournal::append(const StoredShard& shard) {
-  telemetry::ScopedSpan span("journal", "append");
-  if (span.active()) {
-    span.arg("program", shard.program_index);
-    span.arg("backend", shard.backend_index);
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  append_record(shard_payload(shard, backends_));
 }
 
 }  // namespace ompfuzz

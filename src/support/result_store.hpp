@@ -1,32 +1,25 @@
-// Persistent result store: content-addressed run cache + checkpoint journal.
+// Persistent result store: the content-addressed run cache, and the only
+// resume mechanism a campaign has.
 //
-// Two cooperating persistence layers let a campaign survive crashes and skip
-// redundant work across invocations (the ROADMAP's "Result caching" and
-// "Campaign checkpointing" items):
+// A ResultStore is an on-disk, content-addressed map from a RunKey (program
+// fingerprint, full input serialization, and the implementation's cache
+// identity — compile command, flags, timeouts) to one core::RunResult. The
+// campaign consults it before dispatching a batch to the executor and fills
+// it as batches complete, so a re-run after a config tweak only executes
+// triples whose key changed, and a killed campaign re-run on the same store
+// executes only the triples whose records had not been written yet. Every
+// record is written temp-then-rename with fsync, so a crash leaves either a
+// whole record or none. Because the key is the content, a changed config can
+// only miss — it can never restore another configuration's result.
 //
-//   ResultStore       — an on-disk, content-addressed map from a RunKey
-//                       (program fingerprint, full input serialization, and
-//                       the implementation's cache identity — compile command,
-//                       flags, timeouts) to one core::RunResult. The campaign
-//                       consults it before dispatching a batch to the
-//                       executor and fills it as batches complete, so a
-//                       re-run after a config tweak only executes triples
-//                       whose key changed.
-//   CheckpointJournal — an append-only, fsync'd journal of completed program
-//                       shards. A killed campaign resumes at the last shard
-//                       whose record was durably written; a truncated final
-//                       record (the crash case) is detected by its length +
-//                       checksum framing and dropped.
-//
-// Both layers store raw executor observations only (status, time bits,
-// output bits). Verdicts and divergence are recomputed by the campaign's
-// deterministic classification pass, so resumed or cached results are
-// bit-identical to a cold run.
+// The store holds raw executor observations only (status, time bits, output
+// bits). Verdicts and divergence are recomputed by the campaign's
+// deterministic classification pass, so cached results are bit-identical to
+// a cold run.
 //
 // Layering note: core::RunResult (the one value this store persists) lives
 // in support/run_result.hpp, so this module includes nothing above its own
-// layer; the harness-level TestOutcome is converted to the plain
-// StoredShard/StoredOutcome records by the campaign.
+// layer.
 #pragma once
 
 #include <array>
@@ -35,9 +28,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "support/run_result.hpp"
 #include "support/config.hpp"
@@ -127,7 +118,6 @@ class ResultStore {
     std::uint64_t scanned_bytes = 0;
     std::uint64_t evicted_files = 0;
     std::uint64_t evicted_bytes = 0;
-    std::uint64_t pinned_files = 0;  ///< kept only because a pin protected them
   };
 
   /// Size-bounded garbage collection: when the record files exceed
@@ -136,13 +126,10 @@ class ResultStore {
   /// and gc() refreshes everything in the in-process memo — the working set
   /// served from memory — before ordering, so the order is meaningful on
   /// noatime mounts and for memo-hot records alike) until the cache fits
-  /// the budget. Records whose
-  /// digest is in `pinned` are never evicted — the campaign pins everything
-  /// its live checkpoint journal references, so a resume after GC can still
-  /// trust the cache. In-flight temp files are skipped; deleting a record
-  /// never races a writer (put() recreates it atomically, temp-then-rename).
+  /// the budget. In-flight temp files are skipped; deleting a record never
+  /// races a writer (put() recreates it atomically, temp-then-rename).
   /// No-op when max_bytes is 0.
-  GcStats gc(std::span<const std::array<std::uint64_t, 2>> pinned = {});
+  GcStats gc();
 
   [[nodiscard]] const std::string& dir() const noexcept { return config_.dir; }
   [[nodiscard]] const StoreConfig& config() const noexcept { return config_; }
@@ -166,95 +153,6 @@ class ResultStore {
   /// read lock-free on the put() fast path.
   std::atomic<bool> writes_disabled_{false};
   int consecutive_write_failures_ = 0;  ///< guarded by mutex_
-};
-
-/// One test outcome as persisted by the checkpoint journal: the raw runs
-/// only — verdict and divergence are recomputed on resume.
-struct StoredOutcome {
-  int input_index = 0;
-  std::string program_name;
-  std::string input_text;
-  std::vector<core::RunResult> runs;  ///< one per implementation, impl order
-};
-
-/// Everything one completed program sub-shard contributes to a
-/// CampaignResult: one program's runs under ONE backend's implementation
-/// set. Single-backend campaigns have exactly one sub-shard per program
-/// (backend_index 0), so "shard" and "sub-shard" coincide there.
-struct StoredShard {
-  int program_index = 0;
-  /// Which execution backend owned this shard (index into the backend list
-  /// the journal was opened with). Journaled so a multi-backend resume
-  /// re-pins each record to the backend whose implementation subset it
-  /// covers — a record restored to the wrong backend would pair runs with
-  /// the wrong implementation columns.
-  int backend_index = 0;
-  int regeneration_attempts = 0;
-  /// Structural fingerprint of the shard's program. Lets the campaign
-  /// compute the RunKeys a restored shard references (journal pins for the
-  /// store's size-bounded GC) without regenerating the program.
-  std::uint64_t program_fingerprint = 0;
-  /// One outcome per input, sorted by input_index (open() rejects records
-  /// whose indices are not a permutation of 0..n-1).
-  std::vector<StoredOutcome> outcomes;
-};
-
-/// One execution backend as seen by the checkpoint journal: a stable name
-/// plus the implementation names it owns, in campaign order.
-struct JournalBackend {
-  std::string name;
-  std::vector<std::string> impl_names;
-};
-
-/// Append-only, crash-safe journal of completed shards.
-///
-/// The file starts with a header record naming the campaign key (a hash of
-/// everything that determines shard contents: seed, generator config,
-/// implementation identities, backend split) and the per-backend
-/// implementation name lists; each completed sub-shard appends one record
-/// stamped with its owning backend. Records are framed as
-/// `REC <payload-bytes> <fnv1a64-of-payload>` followed by the payload, and
-/// every append is fsync'd, so a SIGKILL can lose at most the record being
-/// written — which the next open() detects (short payload or checksum
-/// mismatch) and discards, resuming from the previous shard.
-class CheckpointJournal {
- public:
-  explicit CheckpointJournal(std::string path);
-  ~CheckpointJournal();
-
-  CheckpointJournal(const CheckpointJournal&) = delete;
-  CheckpointJournal& operator=(const CheckpointJournal&) = delete;
-
-  /// Opens the journal for one campaign run and returns the sub-shards that
-  /// can be resumed. With `resume` false, or when the existing file's
-  /// campaign key / backend layout does not match, the journal starts fresh
-  /// (atomically replacing any previous file). With `resume` true and a
-  /// matching header, returns every durably recorded sub-shard and truncates
-  /// the file after the last valid record so subsequent appends are
-  /// well-formed.
-  [[nodiscard]] std::vector<StoredShard> open(
-      std::uint64_t campaign_key, std::span<const JournalBackend> backends,
-      bool resume);
-
-  /// Single-backend convenience: one backend named "default" owning
-  /// `impl_names`. Every returned shard has backend_index 0.
-  [[nodiscard]] std::vector<StoredShard> open(
-      std::uint64_t campaign_key, const std::vector<std::string>& impl_names,
-      bool resume);
-
-  /// Durably appends one completed shard (thread-safe; fsync'd).
-  void append(const StoredShard& shard);
-
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-
- private:
-  void start_fresh(std::uint64_t campaign_key);
-  void append_record(const std::string& payload);
-
-  std::string path_;
-  std::mutex mutex_;
-  int fd_ = -1;
-  std::vector<JournalBackend> backends_;
 };
 
 }  // namespace ompfuzz

@@ -43,9 +43,9 @@ struct RunResult {
   /// infrastructure failed (compile/spawn failure: fork or pipe exhaustion,
   /// compile timeout on a loaded machine), rather than observing the
   /// implementation. Such results are analyzed like any Crash within the
-  /// current campaign but are never persisted to the result store or the
-  /// checkpoint journal — a transient hiccup must not be replayed as
-  /// "this implementation crashes here" forever.
+  /// current campaign but are never persisted to the result store — a
+  /// transient hiccup must not be replayed as "this implementation crashes
+  /// here" forever.
   bool harness_failure = false;
 };
 

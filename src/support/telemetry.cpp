@@ -78,7 +78,6 @@ Registry& Registry::global() {
 }
 
 Registry::Entry& Registry::entry(std::string_view name, MetricKind kind) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = std::lower_bound(
       entries_.begin(), entries_.end(), name,
       [](const auto& e, std::string_view n) { return e.first < n; });
@@ -107,14 +106,17 @@ Registry::Entry& Registry::entry(std::string_view name, MetricKind kind) {
 }
 
 Counter& Registry::counter(std::string_view name) {
+  const std::lock_guard<std::mutex> lock(mutex_);
   return *entry(name, MetricKind::Counter).counter;
 }
 
 Gauge& Registry::gauge(std::string_view name) {
+  const std::lock_guard<std::mutex> lock(mutex_);
   return *entry(name, MetricKind::Gauge).gauge;
 }
 
 Histogram& Registry::histogram(std::string_view name) {
+  const std::lock_guard<std::mutex> lock(mutex_);
   return *entry(name, MetricKind::Histogram).histogram;
 }
 

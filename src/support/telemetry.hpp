@@ -170,6 +170,9 @@ class Registry {
     std::unique_ptr<Histogram> histogram;
   };
 
+  /// Finds or creates `name`. Caller holds mutex_: a concurrent
+  /// registration may move the entry, so the metric pointer must be read
+  /// before the lock is released (the metric itself never moves).
   Entry& entry(std::string_view name, MetricKind kind);
 
   mutable std::mutex mutex_;

@@ -25,7 +25,6 @@
 #include "analysis/reaching_defs.hpp"
 #include "analysis/rules_reference.hpp"
 #include "core/generator.hpp"
-#include "core/race_checker.hpp"
 #include "support/rng.hpp"
 
 namespace ompfuzz::analysis {
@@ -367,7 +366,7 @@ TEST(ReachingDefs, AssignmentInLoopIsNotDefiniteAfterIt) {
 // Parity with the retired pattern-rule checker
 // ---------------------------------------------------------------------------
 
-// The campaigns regenerate drafts until check_races accepts one; a verdict
+// The campaigns regenerate drafts until analyze_races accepts one; a verdict
 // flip on any draft shifts every later program in the stream and breaks the
 // byte-exact CI gates (campaign_demo backend diff, reduce_demo seed 51966).
 // Replay the exact derivation of make_test_case over the shipped configs and

@@ -140,7 +140,7 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
   }
 
   // The static_analysis block (including the interval-precision counters) is
-  // re-derived at merge time from the journaled regeneration counts, so it
+  // re-derived at merge time from each program's regeneration count, so it
   // must be a pure function of the config — identical for every split.
   EXPECT_EQ(a.analysis.programs_checked, b.analysis.programs_checked);
   EXPECT_EQ(a.analysis.programs_filtered, b.analysis.programs_filtered);

@@ -9,8 +9,8 @@
 #include <set>
 #include <string>
 
+#include "analysis/race_analyzer.hpp"
 #include "core/generator.hpp"
-#include "core/race_checker.hpp"
 #include "emit/codegen.hpp"
 
 namespace ompfuzz::core {
@@ -329,7 +329,7 @@ TEST(Generator, FeatureConstructsAppearValidateAndStayRaceFree) {
   for (int s = 0; s < 150; ++s) {
     const auto prog = gen.generate("t", 8000 + s);
     EXPECT_NO_THROW(prog.validate()) << "seed " << 8000 + s;
-    EXPECT_TRUE(check_races(prog).race_free()) << "seed " << 8000 + s;
+    EXPECT_TRUE(analysis::analyze_races(prog).race_free()) << "seed " << 8000 + s;
     const auto f = ast::analyze(prog);
     atomics += f.num_atomics;
     singles += f.num_singles;
@@ -564,7 +564,7 @@ TEST_P(GeneratorProperty, RaceFreeAndValid) {
   const ProgramGenerator gen(cfg);
   for (int s = 0; s < 50; ++s) {
     const auto prog = gen.generate("t", GetParam() * 10000 + s);
-    const auto report = check_races(prog);
+    const auto report = analysis::analyze_races(prog);
     EXPECT_TRUE(report.race_free())
         << "seed " << GetParam() * 10000 + s << ": "
         << to_string(report.findings[0].kind) << " on "

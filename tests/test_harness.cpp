@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "core/race_checker.hpp"
+#include "analysis/race_analyzer.hpp"
 #include "harness/campaign.hpp"
 #include "harness/perf_analyzer.hpp"
 #include "harness/report.hpp"
@@ -116,7 +116,7 @@ TEST(CampaignTest, GeneratedTestsAreRaceFree) {
   Campaign campaign(tiny_config(20), exec);
   for (int p = 0; p < 20; ++p) {
     const TestCase test = campaign.make_test_case(p);
-    EXPECT_TRUE(core::check_races(test.program).race_free());
+    EXPECT_TRUE(analysis::analyze_races(test.program).race_free());
   }
 }
 

@@ -147,7 +147,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InterpVsBinary,
 TEST(SubprocessExecutorTest, RunsDifferentialCampaignWithOptLevels) {
   if (!have_gxx()) GTEST_SKIP() << "no g++ available";
   const std::string dir = temp_dir();
-  // Optimization levels as implementation proxies (see DESIGN.md).
+  // Optimization levels stand in for distinct OpenMP implementations.
   std::vector<ImplementationSpec> impls = {
       {"gxx-O0", "g++ -std=c++17 -fopenmp -O0 {src} -o {bin}", ""},
       {"gxx-O2", "g++ -std=c++17 -fopenmp -O2 {src} -o {bin}", ""},

@@ -8,7 +8,7 @@
 #include "core/differ.hpp"
 #include "core/generator.hpp"
 #include "core/grammar.hpp"
-#include "core/race_checker.hpp"
+#include "analysis/race_analyzer.hpp"
 #include "emit/codegen.hpp"
 #include "harness/campaign.hpp"
 #include "harness/sim_executor.hpp"
@@ -272,7 +272,7 @@ TEST_P(GeneratorStress, ConformantRaceFreeAndInterpretable) {
   for (int s = 0; s < 25; ++s) {
     const auto prog = gen.generate("stress", p.seed_base + s);
     EXPECT_TRUE(core::check_conformance(prog, cfg).empty()) << "seed " << s;
-    EXPECT_TRUE(core::check_races(prog).race_free()) << "seed " << s;
+    EXPECT_TRUE(analysis::analyze_races(prog).race_free()) << "seed " << s;
     RandomEngine rng(p.seed_base + s);
     const auto input = input_gen.generate(prog.signature(), rng);
     interp::InterpOptions opt;

@@ -6,10 +6,13 @@
 #include <utility>
 #include <vector>
 
-#include "core/race_checker.hpp"
+#include "analysis/race_analyzer.hpp"
 
 namespace ompfuzz::core {
 namespace {
+
+using analysis::analyze_races;
+using analysis::RaceKind;
 
 using ast::AssignOp;
 using ast::Block;
@@ -55,7 +58,7 @@ struct Fixture {
   }
 
   bool has(RaceKind kind) {
-    const auto report = check_races(prog);
+    const auto report = analyze_races(prog);
     for (const auto& f : report.findings) {
       if (f.kind == kind) return true;
     }
@@ -80,7 +83,7 @@ TEST(RaceChecker, PrivatizedScalarWriteIsSafe) {
   OmpClauses clauses;
   clauses.privates.push_back(f.shared_x);
   f.add_region(std::move(loop), std::move(clauses));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, CompUnprotectedWithoutReduction) {
@@ -103,7 +106,7 @@ TEST(RaceChecker, CompWithReductionIsSafe) {
   clauses.privates.push_back(f.shared_x);
   clauses.reduction = ReductionOp::Sum;
   f.add_region(std::move(loop), std::move(clauses));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, CompInsideCriticalIsSafe) {
@@ -116,7 +119,7 @@ TEST(RaceChecker, CompInsideCriticalIsSafe) {
   OmpClauses clauses;
   clauses.privates.push_back(f.shared_x);
   f.add_region(std::move(loop), std::move(clauses));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, CriticalWriteWithUncriticalReadIsRace) {
@@ -149,7 +152,7 @@ TEST(RaceChecker, ThreadIdIndexedArrayWriteIsSafe) {
   OmpClauses clauses;
   clauses.privates.push_back(f.shared_x);
   f.add_region(std::move(loop), std::move(clauses));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, OmpForIndexedArrayWriteIsSafe) {
@@ -160,7 +163,7 @@ TEST(RaceChecker, OmpForIndexedArrayWriteIsSafe) {
   OmpClauses clauses;
   clauses.privates.push_back(f.shared_x);
   f.add_region(std::move(loop), std::move(clauses), /*omp_for=*/true);
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, LoopIndexedWriteInSerialRegionLoopIsRace) {
@@ -211,7 +214,7 @@ TEST(RaceChecker, ReadOnlyArrayAnySubscriptIsSafe) {
   OmpClauses clauses;
   clauses.privates.push_back(f.shared_x);
   f.add_region(std::move(loop), std::move(clauses));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, UninitializedPrivateReadFlagged) {
@@ -244,7 +247,7 @@ TEST(RaceChecker, FirstprivateReadIsInitialized) {
   clauses.reduction = ReductionOp::Sum;
   f.prog.body().stmts.push_back(
       Stmt::omp_parallel(std::move(clauses), std::move(region)));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, SerialCodeIsNeverFlagged) {
@@ -253,7 +256,7 @@ TEST(RaceChecker, SerialCodeIsNeverFlagged) {
       LValue{f.shared_x, nullptr}, AssignOp::AddAssign, Expr::var(f.comp)));
   f.prog.body().stmts.push_back(Stmt::assign(
       LValue{f.arr, Expr::int_const(5)}, AssignOp::Assign, Expr::var(f.shared_x)));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, RegionLocalDeclIsThreadPrivate) {
@@ -267,7 +270,7 @@ TEST(RaceChecker, RegionLocalDeclIsThreadPrivate) {
   OmpClauses clauses;
   clauses.privates.push_back(f.shared_x);
   f.add_region(std::move(loop), std::move(clauses));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analyze_races(f.prog).race_free());
 }
 
 // ---------------------------------------------------------------------------
@@ -282,7 +285,7 @@ using KindVar = std::pair<RaceKind, std::string>;
 
 std::vector<KindVar> finding_pairs(const Program& prog) {
   std::vector<KindVar> out;
-  for (const auto& f : check_races(prog).findings) {
+  for (const auto& f : analyze_races(prog).findings) {
     out.emplace_back(f.kind, f.variable);
   }
   return out;
@@ -434,7 +437,7 @@ TEST(RaceChecker, AtomicUpdatesOnSameScalarAreSafe) {
   OmpClauses clauses;
   clauses.privates.push_back(f.shared_x);
   f.add_region(std::move(loop), std::move(clauses));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, AtomicVsPlainReadIsRace) {
@@ -482,7 +485,7 @@ TEST(RaceChecker, ScheduledOmpForKeepsIterationPartitionSafe) {
   clauses.privates.push_back(f.shared_x);
   f.prog.body().stmts.push_back(
       Stmt::omp_parallel(std::move(clauses), std::move(region)));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analyze_races(f.prog).race_free());
 }
 
 /// Region of shape: x-init preamble, the given sync blocks, then a safe
@@ -541,7 +544,7 @@ TEST(RaceChecker, TwoMasterBlocksOnSameScalarAreSafe) {
   sync.push_back(Stmt::omp_master(single_update(y, AssignOp::AddAssign, 1.0)));
   sync.push_back(Stmt::omp_master(single_update(y, AssignOp::MulAssign, 2.0)));
   add_sync_region(f, std::move(sync));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, SingleWriteVsLoopReadIsRace) {

@@ -723,19 +723,31 @@ TEST(CampaignRetention, ResumedCampaignRetainsTheSameTriples) {
   opt.num_threads = divergent_sim_config().generator.num_threads;
   harness::SimExecutor executor(opt);
 
-  CheckpointJournal journal(dir + "/j.journal");
-  harness::Campaign first(divergent_sim_config(), executor);
-  first.set_checkpoint(&journal, false);
-  const auto cold = first.run();
+  StoreConfig store_cfg;
+  store_cfg.enabled = true;
+  store_cfg.dir = dir + "/store";
+  std::uint64_t cold_puts = 0;
+  harness::CampaignResult cold;
+  {
+    ResultStore store(store_cfg);
+    harness::Campaign first(divergent_sim_config(), executor);
+    first.set_result_store(&store);
+    cold = first.run();
+    cold_puts = store.stats().puts;
+  }
   ASSERT_FALSE(cold.divergent.empty());
+  ASSERT_GT(cold_puts, 0u);
 
-  // A fully resumed run regenerates the divergent programs from seed (the
-  // journal has no AST) and must retain identical triples.
-  CheckpointJournal journal2(dir + "/j.journal");
+  // A rerun on the warm store executes nothing: every run is a hit, and the
+  // divergent programs are regenerated from seed (the store has no AST).
+  // It must retain identical triples.
+  ResultStore store(store_cfg);
   harness::Campaign resumed(divergent_sim_config(), executor);
-  resumed.set_checkpoint(&journal2, true);
+  resumed.set_result_store(&store);
   const auto warm = resumed.run();
-  EXPECT_EQ(resumed.resumed_programs(), divergent_sim_config().num_programs);
+  EXPECT_EQ(store.stats().hits, cold_puts);
+  EXPECT_EQ(store.stats().misses, 0u);
+  EXPECT_EQ(store.stats().puts, 0u);
   ASSERT_EQ(warm.divergent.size(), cold.divergent.size());
   for (std::size_t i = 0; i < warm.divergent.size(); ++i) {
     EXPECT_EQ(warm.divergent[i].source, cold.divergent[i].source);

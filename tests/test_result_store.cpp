@@ -1,8 +1,8 @@
-// Tests for the persistent result store and checkpoint journal: cache-key
-// collision-proofing (flags / input values / timeouts all key material),
-// bit-exact round trips, warm-cache campaigns executing zero children,
-// journal crash-safety (truncated final record), and kill-and-resume
-// producing a CampaignResult bit-identical to an uninterrupted run.
+// Tests for the persistent result store: cache-key collision-proofing (flags
+// / input values / timeouts all key material), bit-exact round trips,
+// warm-cache campaigns executing zero children, size-bounded GC, and
+// store-only resume — across a config change and after a SIGKILL — producing
+// a report bit-identical to an uninterrupted run.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -18,13 +18,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "harness/campaign.hpp"
+#include "harness/report.hpp"
 #include "harness/sim_executor.hpp"
 #include "harness/subprocess_executor.hpp"
 #include "support/config.hpp"
@@ -455,8 +456,8 @@ TEST(WarmCache, PartialHitsOnlyExecuteTheMissingTriples) {
 
 TEST(WarmCache, HarnessFailuresAreNeverPersisted) {
   // A compile the harness cannot even spawn (missing compiler binary)
-  // fabricates Crash results — those must not poison the store or the
-  // journal: the next run has to try again, not replay the hiccup.
+  // fabricates Crash results — those must not poison the store: the next
+  // run has to try again, not replay the hiccup.
   const std::string dir = temp_dir();
   std::vector<ImplementationSpec> impls = {
       {"ghost", dir + "/no_such_compiler.sh {src} {bin}", ""}};
@@ -465,11 +466,9 @@ TEST(WarmCache, HarnessFailuresAreNeverPersisted) {
   opt.concurrent_runs = true;
 
   ResultStore store(store_config(dir + "/store"));
-  CheckpointJournal journal(dir + "/j.journal");
   SubprocessExecutor exec(impls, opt);
   Campaign campaign(stub_campaign_config(2, 1), exec);
   campaign.set_result_store(&store);
-  campaign.set_checkpoint(&journal, true);
   const auto result = campaign.run();
   for (const auto& outcome : result.outcomes) {
     EXPECT_EQ(outcome.runs[0].status, core::RunStatus::Crash);
@@ -477,14 +476,13 @@ TEST(WarmCache, HarnessFailuresAreNeverPersisted) {
   }
   EXPECT_EQ(store.stats().puts, 0u) << "transient failure persisted to store";
 
-  CheckpointJournal reread(dir + "/j.journal");
+  ResultStore reread(store_config(dir + "/store"));
   SubprocessExecutor exec2(impls, opt);
   Campaign second(stub_campaign_config(2, 1), exec2);
-  second.set_result_store(&store);
-  second.set_checkpoint(&reread, true);
+  second.set_result_store(&reread);
   (void)second.run();
-  EXPECT_EQ(second.resumed_programs(), 0)
-      << "transient failure replayed from the journal";
+  EXPECT_EQ(reread.stats().hits, 0u)
+      << "transient failure replayed from the store";
 
   // A compiler that *rejects* the program (diagnostic + nonzero exit) is a
   // genuine observation and is cached.
@@ -525,195 +523,6 @@ TEST(WarmCache, SimBackendCampaignsShareTheStore) {
   const auto stats_warm = store.stats();
   EXPECT_EQ(stats_warm.puts, stats_cold.puts) << "warm sim campaign re-executed";
   expect_identical(result_a, result_b);
-}
-
-// --------------------------------------------------- checkpoint journal ----
-
-StoredShard make_shard(int p, int n_outcomes, int n_impls) {
-  StoredShard shard;
-  shard.program_index = p;
-  shard.regeneration_attempts = p % 2;
-  for (int i = 0; i < n_outcomes; ++i) {
-    StoredOutcome outcome;
-    outcome.input_index = i;
-    outcome.program_name = "test_" + std::to_string(p);
-    outcome.input_text = "0x1p+" + std::to_string(i) + " 10";
-    for (int r = 0; r < n_impls; ++r) {
-      core::RunResult run;
-      run.impl = "impl" + std::to_string(r);
-      run.status = core::RunStatus::Ok;
-      run.time_us = 1000.0 + p * 10 + i;
-      run.output = p + i * 0.5;
-      outcome.runs.push_back(std::move(run));
-    }
-    shard.outcomes.push_back(std::move(outcome));
-  }
-  return shard;
-}
-
-TEST(Journal, AppendsAndResumes) {
-  const std::string path = temp_dir() + "/j.journal";
-  const std::vector<std::string> impls = {"impl0", "impl1"};
-  {
-    CheckpointJournal journal(path);
-    EXPECT_TRUE(journal.open(0xABCD, impls, true).empty());
-    journal.append(make_shard(0, 2, 2));
-    journal.append(make_shard(1, 2, 2));
-  }
-  CheckpointJournal journal(path);
-  const auto shards = journal.open(0xABCD, impls, true);
-  ASSERT_EQ(shards.size(), 2u);
-  EXPECT_EQ(shards[0].program_index, 0);
-  EXPECT_EQ(shards[1].program_index, 1);
-  ASSERT_EQ(shards[1].outcomes.size(), 2u);
-  EXPECT_EQ(shards[1].outcomes[1].program_name, "test_1");
-  EXPECT_EQ(shards[1].outcomes[1].runs[1].impl, "impl1");
-  expect_bits_eq(shards[1].outcomes[1].runs[1].output, 1.5);
-}
-
-TEST(Journal, MismatchedCampaignKeyStartsFresh) {
-  const std::string path = temp_dir() + "/j.journal";
-  const std::vector<std::string> impls = {"impl0"};
-  {
-    CheckpointJournal journal(path);
-    (void)journal.open(1, impls, true);
-    journal.append(make_shard(0, 1, 1));
-  }
-  {
-    CheckpointJournal journal(path);
-    EXPECT_TRUE(journal.open(2, impls, true).empty()) << "key mismatch resumed";
-  }
-  {
-    // Different implementation list: also a different campaign.
-    CheckpointJournal journal(path);
-    (void)journal.open(3, impls, true);
-    journal.append(make_shard(0, 1, 1));
-    CheckpointJournal reread(path);
-    EXPECT_TRUE(reread.open(3, {"impl0", "impl1"}, true).empty());
-  }
-}
-
-TEST(Journal, ResumeFalseDiscardsPreviousRecords) {
-  const std::string path = temp_dir() + "/j.journal";
-  const std::vector<std::string> impls = {"impl0"};
-  {
-    CheckpointJournal journal(path);
-    (void)journal.open(9, impls, true);
-    journal.append(make_shard(0, 1, 1));
-  }
-  CheckpointJournal journal(path);
-  EXPECT_TRUE(journal.open(9, impls, false).empty());
-  CheckpointJournal reread(path);
-  EXPECT_TRUE(reread.open(9, impls, true).empty());
-}
-
-TEST(Journal, TruncatedFinalRecordIsDropped) {
-  const std::string path = temp_dir() + "/j.journal";
-  const std::vector<std::string> impls = {"impl0", "impl1"};
-  {
-    CheckpointJournal journal(path);
-    (void)journal.open(0xFEED, impls, true);
-    journal.append(make_shard(0, 2, 2));
-    journal.append(make_shard(1, 2, 2));
-    journal.append(make_shard(2, 2, 2));
-  }
-  // Tear off the tail of the final record, as a SIGKILL mid-append would.
-  struct stat st{};
-  ASSERT_EQ(stat(path.c_str(), &st), 0);
-  ASSERT_EQ(truncate(path.c_str(), st.st_size - 25), 0);
-
-  CheckpointJournal journal(path);
-  const auto shards = journal.open(0xFEED, impls, true);
-  ASSERT_EQ(shards.size(), 2u) << "torn final record not dropped";
-  EXPECT_EQ(shards[1].program_index, 1);
-
-  // Appends after the truncation must produce a well-formed journal again.
-  journal.append(make_shard(2, 2, 2));
-  CheckpointJournal reread(path);
-  EXPECT_EQ(reread.open(0xFEED, impls, true).size(), 3u);
-}
-
-TEST(Journal, GarbageFileStartsFresh) {
-  const std::string path = temp_dir() + "/j.journal";
-  std::ofstream(path) << "this is not a journal\n";
-  CheckpointJournal journal(path);
-  EXPECT_TRUE(journal.open(1, {"impl0"}, true).empty());
-  journal.append(make_shard(0, 1, 1));
-  CheckpointJournal reread(path);
-  EXPECT_EQ(reread.open(1, {"impl0"}, true).size(), 1u);
-}
-
-// ------------------------------------------------- campaign + journal ------
-
-TEST(CampaignCheckpoint, JournalResumeSkipsCompletedPrograms) {
-  const std::string dir = temp_dir();
-  const std::string cc = make_logging_compiler(dir, "cc");
-  std::vector<ImplementationSpec> impls = {{"cc", cc + " {src} {bin}", ""}};
-  SubprocessOptions opt;
-  opt.work_dir = dir + "/work";
-  opt.concurrent_runs = true;
-
-  const CampaignConfig cfg = stub_campaign_config(4, 1);
-  CheckpointJournal journal(dir + "/j.journal");
-
-  SubprocessExecutor cold_exec(impls, opt);
-  Campaign cold(cfg, cold_exec);
-  cold.set_checkpoint(&journal, true);
-  const auto cold_result = cold.run();
-  EXPECT_EQ(cold.resumed_programs(), 0);
-  const int cold_children = count_children(dir);
-
-  CheckpointJournal journal2(dir + "/j.journal");
-  SubprocessExecutor warm_exec(impls, opt);
-  Campaign warm(cfg, warm_exec);
-  warm.set_checkpoint(&journal2, true);
-  const auto warm_result = warm.run();
-  EXPECT_EQ(warm.resumed_programs(), 4);
-  EXPECT_EQ(count_children(dir), cold_children)
-      << "fully-journaled campaign spawned children";
-  expect_identical(cold_result, warm_result);
-}
-
-TEST(CampaignCheckpoint, TruncatedJournalReexecutesOnlyTheTornShard) {
-  const std::string dir = temp_dir();
-  const std::string cc = make_logging_compiler(dir, "cc");
-  std::vector<ImplementationSpec> impls = {{"cc", cc + " {src} {bin}", ""}};
-  SubprocessOptions opt;
-  opt.work_dir = dir + "/work";
-  opt.concurrent_runs = true;
-
-  const CampaignConfig cfg = stub_campaign_config(4, 1);
-  const std::string path = dir + "/j.journal";
-  {
-    CheckpointJournal journal(path);
-    SubprocessExecutor exec(impls, opt);
-    Campaign campaign(cfg, exec);
-    campaign.set_checkpoint(&journal, true);
-    (void)campaign.run();
-  }
-  const int cold_children = count_children(dir);
-
-  struct stat st{};
-  ASSERT_EQ(stat(path.c_str(), &st), 0);
-  ASSERT_EQ(truncate(path.c_str(), st.st_size - 10), 0);
-
-  CheckpointJournal journal(path);
-  SubprocessExecutor exec(impls, opt);
-  Campaign campaign(cfg, exec);
-  campaign.set_checkpoint(&journal, true);
-
-  SubprocessExecutor reference_exec(impls, opt);
-  Campaign reference(cfg, reference_exec);
-  const auto expected = reference.run();
-  const int reference_children = count_children(dir) - cold_children;
-
-  const int before_resume = count_children(dir);
-  const auto resumed = campaign.run();
-  EXPECT_EQ(campaign.resumed_programs(), 3);
-  // One shard re-executed: 1 compile + inputs_per_program runs.
-  EXPECT_EQ(count_children(dir) - before_resume, 1 + cfg.inputs_per_program);
-  EXPECT_GT(reference_children, 1 + cfg.inputs_per_program);
-  expect_identical(expected, resumed);
 }
 
 // ------------------------------------------------------ size-bounded GC ----
@@ -768,7 +577,6 @@ TEST(StoreGc, EvictsLeastRecentlyUsedUntilUnderBudget) {
   const auto stats = store.gc();
   EXPECT_EQ(stats.scanned_files, 6u);
   EXPECT_EQ(stats.evicted_files, 3u);
-  EXPECT_EQ(stats.pinned_files, 0u);
   EXPECT_EQ(stats.evicted_bytes, record_bytes * 3);
   for (int i = 0; i < 3; ++i) {
     EXPECT_FALSE(store.lookup(gc_key(i)).has_value()) << i;
@@ -790,34 +598,6 @@ TEST(StoreGc, EvictionForgetsTheInProcessMemo) {
   EXPECT_EQ(stats.evicted_files, 1u);
   // Without the memo purge this would still "hit" the evicted record.
   EXPECT_FALSE(store.lookup(gc_key(0)).has_value());
-}
-
-TEST(StoreGc, PinnedRecordsSurviveEviction) {
-  StoreConfig cfg = store_config(temp_dir());
-  {
-    ResultStore writer(cfg);
-    for (int i = 0; i < 4; ++i) {
-      core::RunResult r;
-      r.impl = "cc";
-      writer.put(gc_key(i), r);
-    }
-  }
-  const std::time_t base = 1'700'000'000;
-  for (int i = 0; i < 4; ++i) {
-    set_atime(record_path(cfg, gc_key(i)), base + i * 60);
-  }
-
-  cfg.max_bytes = 1;  // evict everything that is not pinned
-  ResultStore store(cfg);
-  const std::vector<std::array<std::uint64_t, 2>> pins = {gc_key(0).digest(),
-                                                          gc_key(2).digest()};
-  const auto stats = store.gc(pins);
-  EXPECT_EQ(stats.evicted_files, 2u);
-  EXPECT_EQ(stats.pinned_files, 2u);
-  EXPECT_TRUE(store.lookup(gc_key(0)).has_value());   // coldest, but pinned
-  EXPECT_FALSE(store.lookup(gc_key(1)).has_value());
-  EXPECT_TRUE(store.lookup(gc_key(2)).has_value());
-  EXPECT_FALSE(store.lookup(gc_key(3)).has_value());
 }
 
 TEST(StoreGc, UnboundedStoreNeverEvicts) {
@@ -902,60 +682,79 @@ TEST(StoreGc, ConfigParsesAndValidatesMaxBytes) {
   EXPECT_THROW((void)StoreConfig::from_config(bad), ConfigError);
 }
 
-/// The journal-pin rule end to end: with a journal attached every journaled
-/// shard's triples are pinned, so even an absurdly small budget evicts
-/// nothing and a resumed re-run still executes zero children. The same
-/// campaign without a journal evicts freely.
-TEST(StoreGc, CampaignPinsJournaledShards) {
+/// The end-of-run GC end to end: a campaign on a store whose budget is below
+/// one record evicts everything it wrote once it completes, so the next run
+/// on that store re-executes instead of resuming.
+TEST(StoreGc, CampaignRunEvictsDownToBudget) {
   const std::string dir = temp_dir();
   const std::string cc = make_logging_compiler(dir, "cc");
   std::vector<ImplementationSpec> impls = {{"cc", cc + " {src} {bin}", ""}};
-  CampaignConfig cfg = stub_campaign_config(3, 1);
-
-  StoreConfig store_cfg = store_config(dir + "/store");
-  store_cfg.max_bytes = 1;  // far below one record
-  ResultStore store(store_cfg);
-  CheckpointJournal journal(dir + "/j.journal");
-
-  {
+  const CampaignConfig cfg = stub_campaign_config(3, 1);
+  const auto run_once = [&](const std::string& work_dir, StoreConfig store_cfg) {
+    ResultStore store(store_cfg);
     SubprocessOptions opt;
-    opt.work_dir = dir + "/work_cold";
+    opt.work_dir = dir + work_dir;
     opt.concurrent_runs = true;
     SubprocessExecutor exec(impls, opt);
     Campaign campaign(cfg, exec);
     campaign.set_result_store(&store);
-    campaign.set_checkpoint(&journal, false);
     (void)campaign.run();
-  }
+  };
+
+  StoreConfig unbounded = store_config(dir + "/store");
+  run_once("/work_cold", unbounded);
   const int cold_children = count_children(dir);
   ASSERT_GT(cold_children, 0);
 
-  // Every record was journaled, hence pinned, hence survived the end-of-run
-  // GC: a warm run (fresh journal-less campaign, same store) executes
-  // nothing.
-  {
-    SubprocessOptions opt;
-    opt.work_dir = dir + "/work_warm";
-    opt.concurrent_runs = true;
-    SubprocessExecutor exec(impls, opt);
-    Campaign campaign(cfg, exec);
-    campaign.set_result_store(&store);
-    (void)campaign.run();
-  }
+  // Warm run under a budget far below one record: it executes nothing, then
+  // its end-of-run GC evicts every record...
+  StoreConfig bounded = unbounded;
+  bounded.max_bytes = 1;
+  run_once("/work_warm", bounded);
   EXPECT_EQ(count_children(dir), cold_children);
 
-  // Without a journal nothing is pinned: the same budget empties the cache
-  // (the warm campaign above ran GC on exit), so a third run re-executes.
-  {
-    SubprocessOptions opt;
-    opt.work_dir = dir + "/work_cold2";
-    opt.concurrent_runs = true;
-    SubprocessExecutor exec(impls, opt);
+  // ...so a third run has nothing to resume from and re-executes.
+  run_once("/work_cold2", unbounded);
+  EXPECT_EQ(count_children(dir), 2 * cold_children);
+}
+
+// ------------------------------------------------ resume across gates ------
+
+/// Store-only resume never mixes configurations: a gated campaign re-run on
+/// a store a default campaign filled reuses exactly the triples whose keys
+/// are unchanged (programs the gates did not alter) and executes the rest,
+/// so its report is byte-identical to the same gated campaign on an empty
+/// store.
+TEST(StoreResume, FeatureGatedRerunMatchesAFreshGatedRun) {
+  const std::string dir = temp_dir();
+  const CampaignConfig default_cfg = stub_campaign_config(12, 2);
+  CampaignConfig gated_cfg = default_cfg;
+  gated_cfg.generator.enable_features("atomic,single,master,schedule");
+
+  SimExecutorOptions opt;
+  opt.num_threads = 4;
+  const auto run_on = [&](const CampaignConfig& cfg, const std::string& store_dir,
+                          ResultStore::Stats* stats) {
+    ResultStore store(store_config(store_dir));
+    SimExecutor exec(opt);
     Campaign campaign(cfg, exec);
     campaign.set_result_store(&store);
-    (void)campaign.run();
-  }
-  EXPECT_GT(count_children(dir), cold_children);
+    std::string json = to_json(campaign.run());
+    if (stats != nullptr) *stats = store.stats();
+    return json;
+  };
+
+  const std::string default_json = run_on(default_cfg, dir + "/shared", nullptr);
+  ResultStore::Stats rerun{};
+  const std::string resumed_json = run_on(gated_cfg, dir + "/shared", &rerun);
+  const std::string fresh_json = run_on(gated_cfg, dir + "/fresh", nullptr);
+
+  EXPECT_NE(fresh_json, default_json) << "the gates changed nothing";
+  EXPECT_EQ(resumed_json, fresh_json)
+      << "gated rerun on a default-filled store mixed in stale results";
+  EXPECT_GT(rerun.misses, 0u) << "gated programs must execute, not restore";
+  EXPECT_EQ(rerun.hits + rerun.misses,
+            static_cast<std::uint64_t>(12 * 2 * 3));
 }
 
 // ---------------------------------------------------- kill and resume ------
@@ -969,8 +768,8 @@ CampaignConfig kill_campaign_config() {
 }
 
 /// Child mode of KillResume.SurvivesSigkillBitIdentically: runs the campaign
-/// against the slow stub compiler until killed. Driven via env so the parent
-/// can SIGKILL an honest separate process mid-flight.
+/// against the slow stub compiler on a result store until killed. Driven via
+/// env so the parent can SIGKILL an honest separate process mid-flight.
 TEST(KillResume, ChildCampaign) {
   const char* dir_env = std::getenv("OMPFUZZ_KILL_CHILD_DIR");
   if (dir_env == nullptr) {
@@ -983,26 +782,26 @@ TEST(KillResume, ChildCampaign) {
   opt.work_dir = dir + "/work_child";
   opt.concurrent_runs = true;
   SubprocessExecutor exec(impls, opt);
-  CheckpointJournal journal(dir + "/j.journal");
+  ResultStore store(store_config(dir + "/store"));
   Campaign campaign(kill_campaign_config(), exec);
-  campaign.set_checkpoint(&journal, true);
+  campaign.set_result_store(&store);
   (void)campaign.run();
   std::_Exit(0);  // completed without being killed (fast machine): fine too
 }
 
-int count_journal_records(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 0;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
+/// Completed `.run` records under `store_dir` (in-flight temp files, which
+/// a kill can leave behind, do not count).
+int count_store_records(const std::string& store_dir) {
+  namespace fs = std::filesystem;
   int n = 0;
-  std::size_t pos = 0;
-  while ((pos = text.find("REC ", pos)) != std::string::npos) {
-    if (pos == 0 || text[pos - 1] == '\n') ++n;
-    pos += 4;
+  // error_code overloads throughout: the child is renaming files into place
+  // while the parent scans.
+  std::error_code ec;
+  for (fs::recursive_directory_iterator it(store_dir + "/runs", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    if (it->path().extension() == ".run") ++n;
   }
-  return n;  // includes the header record
+  return n;
 }
 
 TEST(KillResume, SurvivesSigkillBitIdentically) {
@@ -1021,56 +820,56 @@ TEST(KillResume, SurvivesSigkillBitIdentically) {
     _exit(127);
   }
 
-  // Wait until at least two shards are durably journaled, then SIGKILL the
-  // campaign mid-flight.
-  const std::string journal_path = dir + "/j.journal";
-  for (int spin = 0; spin < 1000 && count_journal_records(journal_path) < 3;
-       ++spin) {
+  // One input and one implementation per program: one record per program.
+  // Wait until at least two programs' records are durably in the store, then
+  // SIGKILL the campaign mid-flight.
+  const std::string store_dir = dir + "/store";
+  for (int spin = 0; spin < 1000 && count_store_records(store_dir) < 2; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   kill(child, SIGKILL);
   int status = 0;
   ASSERT_EQ(waitpid(child, &status, 0), child);
 
-  const int records_after_kill = count_journal_records(journal_path);
-  ASSERT_GE(records_after_kill, 3) << "child never journaled two shards";
+  const int records_after_kill = count_store_records(store_dir);
+  ASSERT_GE(records_after_kill, 2) << "child never stored two programs";
 
-  // Uninterrupted reference run (own journal + work dir).
+  // Uninterrupted reference run (no store, own work dir).
   std::vector<ImplementationSpec> impls = {
       {"cc", dir + "/cc.sh {src} {bin}", ""}};
   SubprocessOptions ref_opt;
   ref_opt.work_dir = dir + "/work_ref";
   ref_opt.concurrent_runs = true;
   SubprocessExecutor ref_exec(impls, ref_opt);
-  CheckpointJournal ref_journal(dir + "/ref.journal");
   Campaign reference(kill_campaign_config(), ref_exec);
-  reference.set_checkpoint(&ref_journal, true);
   const auto expected = reference.run();
 
-  // Resume from the killed child's journal.
+  // Resume on the killed child's store: only the missing triples execute,
+  // each one compile plus one run.
   SubprocessOptions res_opt;
   res_opt.work_dir = dir + "/work_resume";
   res_opt.concurrent_runs = true;
   SubprocessExecutor res_exec(impls, res_opt);
-  CheckpointJournal journal(journal_path);
+  ResultStore store(store_config(store_dir));
   Campaign resumed_campaign(kill_campaign_config(), res_exec);
-  resumed_campaign.set_checkpoint(&journal, true);
+  resumed_campaign.set_result_store(&store);
+  const int before_resume = count_children(dir);
   const auto resumed = resumed_campaign.run();
-
-  EXPECT_GE(resumed_campaign.resumed_programs(), 2);
+  const int missing = kKillCampaignPrograms - records_after_kill;
+  EXPECT_EQ(count_children(dir) - before_resume, 2 * missing);
+  EXPECT_EQ(store.stats().hits, static_cast<std::uint64_t>(records_after_kill));
+  EXPECT_EQ(to_json(resumed), to_json(expected));
   expect_identical(expected, resumed);
 
-  // The same journal now holds the full campaign: a second resume restores
-  // everything without executing a single child.
-  CheckpointJournal journal2(journal_path);
+  // The store now holds the full campaign: a third run spawns no child.
+  ResultStore store2(store_config(store_dir));
   SubprocessExecutor again_exec(impls, res_opt);
   Campaign again(kill_campaign_config(), again_exec);
-  again.set_checkpoint(&journal2, true);
+  again.set_result_store(&store2);
   const int children_before = count_children(dir);
   const auto full = again.run();
-  EXPECT_EQ(again.resumed_programs(), kKillCampaignPrograms);
   EXPECT_EQ(count_children(dir), children_before);
-  expect_identical(expected, full);
+  EXPECT_EQ(to_json(full), to_json(expected));
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // under any batch/steal/thread setting, merged CampaignResults are
 // bit-identical across backend splits, batch sizes, and steal schedules,
 // work-stealing actually moves work off a skewed batch (wall-clock bound +
-// stolen-unit count), and the v3 checkpoint journal re-pins sub-shards to
-// their owning backend on resume.
+// stolen-unit count), and a re-run on a warm result store resumes without
+// dispatching, whatever the backend split.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -261,10 +261,10 @@ TEST(SchedulerSteal, MovesWorkOffSkewedBatchesAndPreservesResults) {
       << wall_off << "ms";
 }
 
-// ------------------------------------------------ journal v3 re-pinning ----
+// ------------------------------------------------- store-backed resume ----
 
-/// Forwards to an inner executor, counting batch dispatches — a resumed
-/// campaign that restored every sub-shard must dispatch nothing.
+/// Forwards to an inner executor, counting batch dispatches — a campaign
+/// re-run on a warm store must dispatch nothing.
 class CountingExecutor final : public Executor {
  public:
   CountingExecutor(Executor& inner, std::atomic<int>& batches)
@@ -298,53 +298,67 @@ class CountingExecutor final : public Executor {
   std::atomic<int>& batches_;
 };
 
+StoreConfig store_at(const std::string& dir) {
+  StoreConfig cfg;
+  cfg.enabled = true;
+  cfg.dir = dir;
+  return cfg;
+}
+
 TEST(SchedulerJournal, MultiBackendResumeRepinsEveryBackend) {
-  const std::string path = temp_dir() + "/j.journal";
+  const StoreConfig store_cfg = store_at(temp_dir() + "/store");
   SimExecutorOptions opt;
   opt.num_threads = 4;
   const CampaignConfig cfg = sim_config(6, 2);
   const SchedulerConfig sched = sched_config(2, true);
+  const auto triples = static_cast<std::uint64_t>(
+      cfg.num_programs * cfg.inputs_per_program * 3);
 
   std::string cold_json;
   {
     SimExecutor a(profile_slice(0, 1), opt);
     SimExecutor b(profile_slice(1, 3), opt);
-    CheckpointJournal journal(path);
+    ResultStore store(store_cfg);
     Campaign campaign(cfg, {{&a, "left"}, {&b, "right"}}, sched);
-    campaign.set_checkpoint(&journal, true);
+    campaign.set_result_store(&store);
     cold_json = to_json(campaign.run());
-    EXPECT_EQ(campaign.resumed_programs(), 0);
+    EXPECT_EQ(store.stats().hits, 0u);
+    EXPECT_EQ(store.stats().puts, triples);
   }
   {
-    // Same split: every sub-shard restores, zero dispatches.
+    // Same split, fresh store instance: every triple is a hit from disk and
+    // no executor sees a single dispatch.
     SimExecutor a(profile_slice(0, 1), opt);
     SimExecutor b(profile_slice(1, 3), opt);
     std::atomic<int> dispatches{0};
     CountingExecutor ca(a, dispatches);
     CountingExecutor cb(b, dispatches);
-    CheckpointJournal journal(path);
+    ResultStore store(store_cfg);
     Campaign campaign(cfg, {{&ca, "left"}, {&cb, "right"}}, sched);
-    campaign.set_checkpoint(&journal, true);
+    campaign.set_result_store(&store);
     EXPECT_EQ(to_json(campaign.run()), cold_json);
-    EXPECT_EQ(campaign.resumed_programs(), cfg.num_programs);
+    EXPECT_EQ(store.stats().hits, triples);
     EXPECT_EQ(dispatches.load(), 0)
-        << "restored campaign dispatched to an executor";
+        << "warm-store campaign dispatched to an executor";
   }
   {
-    // Different split, same implementations: a different checkpoint key —
-    // sub-shard ownership moved, so nothing may restore.
+    // Different split, same implementations: the store is keyed by triple,
+    // not by backend, so a re-split campaign gets every hit too.
     SimExecutor all(profile_slice(0, 3), opt);
-    CheckpointJournal journal(path);
-    Campaign campaign(cfg, {{&all, "all"}}, sched);
-    campaign.set_checkpoint(&journal, true);
+    std::atomic<int> dispatches{0};
+    CountingExecutor counted(all, dispatches);
+    ResultStore store(store_cfg);
+    Campaign campaign(cfg, {{&counted, "all"}}, sched);
+    campaign.set_result_store(&store);
     EXPECT_EQ(to_json(campaign.run()), cold_json)
         << "the merged result itself is split-invariant";
-    EXPECT_EQ(campaign.resumed_programs(), 0);
+    EXPECT_EQ(store.stats().hits, triples);
+    EXPECT_EQ(dispatches.load(), 0);
   }
 }
 
 TEST(SchedulerJournal, GrownCampaignResumesItsPrefix) {
-  const std::string path = temp_dir() + "/j.journal";
+  const StoreConfig store_cfg = store_at(temp_dir() + "/store");
   SimExecutorOptions opt;
   opt.num_threads = 4;
   const SchedulerConfig sched = sched_config(3, true);
@@ -352,20 +366,24 @@ TEST(SchedulerJournal, GrownCampaignResumesItsPrefix) {
   {
     SimExecutor a(profile_slice(0, 2), opt);
     SimExecutor b(profile_slice(2, 3), opt);
-    CheckpointJournal journal(path);
+    ResultStore store(store_cfg);
     Campaign campaign(sim_config(3, 2), {{&a, "left"}, {&b, "right"}}, sched);
-    campaign.set_checkpoint(&journal, true);
+    campaign.set_result_store(&store);
     (void)campaign.run();
   }
   std::string grown_json;
   {
     SimExecutor a(profile_slice(0, 2), opt);
     SimExecutor b(profile_slice(2, 3), opt);
-    CheckpointJournal journal(path);
+    ResultStore store(store_cfg);
     Campaign campaign(sim_config(6, 2), {{&a, "left"}, {&b, "right"}}, sched);
-    campaign.set_checkpoint(&journal, true);
+    campaign.set_result_store(&store);
     grown_json = to_json(campaign.run());
-    EXPECT_EQ(campaign.resumed_programs(), 3);
+    // Program i does not depend on num_programs: the 3-program prefix
+    // (3 programs x 2 inputs x 3 impls) is served from the store, and only
+    // the 3 new programs execute.
+    EXPECT_EQ(store.stats().hits, 18u);
+    EXPECT_EQ(store.stats().misses, 18u);
   }
   // The grown, partially resumed campaign matches a cold serial run.
   SimExecutor a(profile_slice(0, 2), opt);

@@ -203,8 +203,7 @@ TEST(TelemetryRegistry, CampaignRunMetricsDeterministicAcrossThreadCounts) {
        {"scheduler.units", "scheduler.batches", "scheduler.stolen_units",
         "campaign.retried_triples", "campaign.retry_rounds",
         "campaign.failover_units", "campaign.fabricated_units",
-        "campaign.journal_failures", "store.hits", "store.misses",
-        "store.puts"}) {
+        "store.hits", "store.misses", "store.puts"}) {
     EXPECT_EQ(one.counter(name), four.counter(name)) << name;
   }
   EXPECT_EQ(one.gauge("campaign.units_total"), 8);

@@ -6,8 +6,8 @@ trace before anyone loads it into chrome://tracing), then prints:
 
   * a per-category table of event counts, total time, and SELF time —
     wall time minus the time covered by child spans on the same thread,
-    so nested spans (run-batch containing store lookups containing journal
-    appends) are not double-counted;
+    so nested spans (run-batch containing store lookups and puts) are not
+    double-counted;
   * the critical path: the longest chain of nested spans by duration,
     which is where an optimization pays off first.
 
