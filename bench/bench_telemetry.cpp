@@ -74,8 +74,10 @@ const char* mode_name(Mode m) {
 
 double run_campaign_ms(const CampaignConfig& cfg, int unit_ms, Mode mode) {
   FixedCostExecutor exec(unit_ms);
-  MetricsSampler sampler({/*metrics_file=*/"bench_telemetry_metrics.json",
-                          /*interval_ms=*/50, /*heartbeat=*/false});
+  TelemetryConfig telemetry;
+  telemetry.metrics_file = "bench_telemetry_metrics.json";
+  telemetry.interval_ms = 50;
+  MetricsSampler sampler(telemetry);
   if (mode != Mode::Off) sampler.start();
   if (mode == Mode::Full) {
     telemetry::Tracer::instance().start("bench_telemetry_trace.json");

@@ -5,67 +5,43 @@
 //                     [--inject-faults RATE] [--features LIST]
 //                     [--trace FILE] [--metrics FILE] [--heartbeat]
 //
-// --features takes a comma-separated subset of {atomic, single, master,
-// schedule} and switches the corresponding generator gates on (equivalent to
-// `[generator] features = ...` in the config). All gates default off, and an
-// off gate draws nothing from the generator's RNG, so the default program
-// stream is bit-identical to builds that predate the gates.
+// Every flag but --resume and --reduce sets one config key before the file
+// is parsed (README "Configuration" maps them), so it gets that key's checks.
+// --features takes a subset of {atomic, single, master, schedule, rangeidx};
+// off gates draw nothing from the generator's RNG, so the default program
+// stream is bit-identical to builds that predate them. A bad flag, key,
+// section or value prints `config error: ...` to stderr and exits 2.
 //
 // Without a config argument it uses a built-in 40-program configuration over
 // the simulated backend. Implementations whose value is a compile command
 // (instead of "profile: NAME") select the real-compiler subprocess backend,
 // tuned by the [executor] section (max_inflight, concurrent_runs, ...).
+// The [scheduler] section splits the implementation list into contiguous
+// backends, each all simulated or all subprocess, and sets batching and
+// work-stealing; the JSON report is bit-identical for every split.
 //
-// The [scheduler] section (and the --backends override) splits the
-// implementation list into N contiguous execution backends — each group all
-// simulated or all subprocess, so e.g. "profile:" entries can run next to a
-// real toolchain in one campaign — and controls shard batching
-// (scheduler.batch_size) and work-stealing (scheduler.steal). The merged
-// CampaignResult and its JSON report are bit-identical for every split.
+// With `[store] enabled = true` every executed triple is persisted in a
+// content-addressed run cache under `store.dir`, so a re-run (or a killed run
+// started again) executes only triples whose key is not stored, and a changed
+// configuration changes the keys. `--resume` is an alias for that default.
+// With `--reduce` every retained divergent triple is minimized; the reduced
+// sources land in campaign_reductions.json.
 //
-// With `[store] enabled = true` the campaign persists every executed
-// (program, input, implementation) result in a content-addressed run cache
-// under `store.dir`, each record written durably as its batch completes. A
-// re-run skips every triple whose cache key is unchanged, which is also how
-// a killed invocation resumes: run it again on the same store and only the
-// triples that never reached the store execute. A changed configuration
-// changes the keys, so it re-executes instead of restoring stale results.
-// Either way the final CampaignResult is bit-identical to a cold run.
-// `--resume` is accepted as an alias for that default (it still requires
-// the store to be enabled) and changes nothing.
-//
-// With `--reduce` every divergent (program, input, implementation set)
-// triple the campaign retained is minimized by the verdict-preserving
-// reducer; the reduction table is printed and the reduced sources land in
-// campaign_reductions.json. When the store is enabled the oracle shares it,
-// so a re-reduction replays candidate verdicts without executing anything.
-//
-// With `--inject-faults RATE` (or a `[faults]` config section) the harness's
-// own failure paths — batch dispatch, process-pool spawns, compiles, store
-// I/O — fail deterministically at the given per-site probability. Retries,
-// failover, and store degradation absorb transient faults completely, so the
-// JSON report written under injection is byte-identical to a fault-free
-// run's (the CI diffs exactly that); the retry/fault counters print to
-// stdout only.
-//
-// Telemetry (`[telemetry]` config section, overridable by flags) is strictly
-// out-of-band — the JSON report is byte-identical with it on or off:
-// `--trace FILE` records every campaign phase (generate, compile, run-batch,
-// store, steal, process, ...) as Chrome trace_event JSON for
-// chrome://tracing / Perfetto; `--metrics FILE` rewrites a machine-readable
-// metrics snapshot atomically every telemetry.interval_ms; `--heartbeat`
-// prints a live progress line (units done, children/s, store hit rate, live
-// backends) to stderr at the same cadence.
+// Faults (`--inject-faults` or `[faults]`) and telemetry (`--trace`,
+// `--metrics`, `--heartbeat` or `[telemetry]`) never change the JSON report:
+// retries and failover absorb injected harness faults, and traces, metric
+// snapshots and the heartbeat go to their own files and stderr.
 //
 // The report prints the Table I counts for the campaign plus the most
 // extreme outliers, and writes a machine-readable JSON report next to the
 // binary.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "harness/campaign.hpp"
 #include "harness/campaign_metrics.hpp"
@@ -107,75 +83,54 @@ clang = profile: libomp
 intel = profile: libiomp5
 )";
 
-}  // namespace
+/// The config key each value flag sets.
+constexpr std::pair<std::string_view, const char*> kValueFlags[] = {
+    {"--backends", "scheduler.backends"},
+    {"--features", "generator.features"},
+    {"--trace", "telemetry.trace_file"},
+    {"--metrics", "telemetry.metrics_file"},
+    {"--inject-faults", "faults.rate"},
+};
 
-int main(int argc, char** argv) {
+int run_demo(int argc, char** argv) {
   using namespace ompfuzz;
 
   bool resume = false;
   bool reduce_divergent = false;
-  int backends_override = 0;
-  double fault_rate_override = -1.0;
-  std::string features_override;
-  std::string trace_override;
-  std::string metrics_override;
-  bool heartbeat_override = false;
+  std::vector<std::pair<std::string, std::string>> flag_keys;
   std::string config_path;
   for (int a = 1; a < argc; ++a) {
-    if (std::strcmp(argv[a], "--resume") == 0) {
+    const std::string_view arg = argv[a];
+    const auto* flag = std::find_if(
+        std::begin(kValueFlags), std::end(kValueFlags),
+        [&](const auto& f) { return f.first == arg; });
+    if (arg == "--resume") {
       resume = true;
-    } else if (std::strcmp(argv[a], "--reduce") == 0) {
+    } else if (arg == "--reduce") {
       reduce_divergent = true;
-    } else if (std::strcmp(argv[a], "--backends") == 0) {
+    } else if (arg == "--heartbeat") {
+      flag_keys.emplace_back("telemetry.heartbeat", "true");
+    } else if (flag != std::end(kValueFlags)) {
       // Must not fall through to the config-path branch on a missing value:
-      // "--backends" would silently become the config file path.
-      backends_override = a + 1 < argc ? std::atoi(argv[++a]) : 0;
-      if (backends_override < 1) {
-        throw ConfigError("--backends needs a positive count");
-      }
-    } else if (std::strcmp(argv[a], "--inject-faults") == 0) {
-      fault_rate_override = a + 1 < argc ? std::atof(argv[++a]) : -1.0;
-      if (fault_rate_override < 0.0 || fault_rate_override > 1.0) {
-        throw ConfigError("--inject-faults needs a rate in [0, 1]");
-      }
-    } else if (std::strcmp(argv[a], "--features") == 0) {
+      // the flag would silently become the config file path.
       if (a + 1 >= argc) {
-        throw ConfigError(
-            "--features needs a comma-separated list "
-            "(atomic, single, master, schedule)");
+        throw ConfigError(std::string(arg) + " needs a value for " + flag->second);
       }
-      features_override = argv[++a];
-    } else if (std::strcmp(argv[a], "--trace") == 0) {
-      if (a + 1 >= argc) throw ConfigError("--trace needs a file path");
-      trace_override = argv[++a];
-    } else if (std::strcmp(argv[a], "--metrics") == 0) {
-      if (a + 1 >= argc) throw ConfigError("--metrics needs a file path");
-      metrics_override = argv[++a];
-    } else if (std::strcmp(argv[a], "--heartbeat") == 0) {
-      heartbeat_override = true;
+      if (arg == "--inject-faults") flag_keys.emplace_back("faults.enabled", "true");
+      flag_keys.emplace_back(flag->second, argv[++a]);
+    } else if (arg.starts_with("-")) {
+      throw ConfigError("unknown flag '" + std::string(arg) + "'");
     } else {
-      config_path = argv[a];
+      config_path = arg;
     }
   }
   ConfigFile file = !config_path.empty() ? ConfigFile::load(config_path)
                                          : ConfigFile::parse(kDefaultConfig);
-  if (!features_override.empty()) {
-    file.set("generator.features", features_override);
-  }
+  for (const auto& [key, value] : flag_keys) file.set(key, value);
   const CampaignConfig cfg = CampaignConfig::from_config(file);
+  const TelemetryConfig telemetry_cfg = TelemetryConfig::from_config(file);
 
-  TelemetryConfig telemetry_cfg = TelemetryConfig::from_config(file);
-  if (!trace_override.empty()) telemetry_cfg.trace_file = trace_override;
-  if (!metrics_override.empty()) telemetry_cfg.metrics_file = metrics_override;
-  if (heartbeat_override) telemetry_cfg.heartbeat = true;
-  telemetry_cfg.validate();
-
-  FaultConfig faults = FaultConfig::from_config(file);
-  if (fault_rate_override >= 0.0) {
-    faults.enabled = true;
-    faults.rate = fault_rate_override;
-  }
-  faults.validate();
+  const FaultConfig faults = FaultConfig::from_config(file);
   if (faults.enabled) {
     FaultInjector::instance().configure(faults);
     std::printf("fault injection: rate=%.3f seed=%llu sites=%s\n", faults.rate,
@@ -187,8 +142,7 @@ int main(int argc, char** argv) {
               cfg.num_programs, cfg.inputs_per_program, cfg.alpha, cfg.beta,
               cfg.implementations.size());
 
-  SchedulerConfig sched = SchedulerConfig::from_config(file);
-  if (backends_override > 0) sched.backends = backends_override;
+  const SchedulerConfig sched = SchedulerConfig::from_config(file);
   const auto num_backends = static_cast<std::size_t>(sched.backends);
   if (num_backends > cfg.implementations.size()) {
     throw ConfigError("scheduler.backends exceeds the implementation count");
@@ -281,8 +235,7 @@ int main(int argc, char** argv) {
   if (!telemetry_cfg.trace_file.empty()) {
     telemetry::Tracer::instance().start(telemetry_cfg.trace_file);
   }
-  MetricsSampler sampler({telemetry_cfg.metrics_file,
-                          telemetry_cfg.interval_ms, telemetry_cfg.heartbeat});
+  MetricsSampler sampler(telemetry_cfg);
   sampler.start();
 
   const auto result = campaign.run([](int done, int total) {
@@ -354,4 +307,15 @@ int main(int argc, char** argv) {
   json << harness::to_json(result);
   std::printf("full JSON report written to %s\n", json_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_demo(argc, argv);
+  } catch (const ompfuzz::ConfigError& e) {
+    std::fprintf(stderr, "%s\n", e.what());  // "config error: ..."
+    return 2;
+  }
 }

@@ -60,13 +60,13 @@ std::string render_metrics_json(const telemetry::MetricsSnapshot& snapshot) {
   return json.str() + "\n";
 }
 
-MetricsSampler::MetricsSampler(Options options) : options_(std::move(options)) {}
+MetricsSampler::MetricsSampler(const TelemetryConfig& config) : config_(config) {}
 
 MetricsSampler::~MetricsSampler() { stop(); }
 
 void MetricsSampler::start() {
   if (thread_.joinable()) return;
-  if (options_.metrics_file.empty() && !options_.heartbeat) return;
+  if (config_.metrics_file.empty() && !config_.heartbeat) return;
   stopping_ = false;
   last_children_ = 0;
   last_sample_ns_ = telemetry::Tracer::now_ns();
@@ -87,7 +87,7 @@ void MetricsSampler::stop() {
 void MetricsSampler::run() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (!stopping_) {
-    const auto interval = std::chrono::milliseconds(options_.interval_ms);
+    const auto interval = std::chrono::milliseconds(config_.interval_ms);
     if (cv_.wait_for(lock, interval, [this] { return stopping_; })) break;
     lock.unlock();
     sample(/*final_sample=*/false);
@@ -99,11 +99,11 @@ void MetricsSampler::sample(bool final_sample) {
   const telemetry::MetricsSnapshot snapshot =
       telemetry::Registry::global().snapshot();
 
-  if (!options_.metrics_file.empty()) {
-    write_snapshot_atomic(options_.metrics_file, render_metrics_json(snapshot));
+  if (!config_.metrics_file.empty()) {
+    write_snapshot_atomic(config_.metrics_file, render_metrics_json(snapshot));
   }
 
-  if (!options_.heartbeat) return;
+  if (!config_.heartbeat) return;
 
   const std::uint64_t now_ns = telemetry::Tracer::now_ns();
   const std::uint64_t children = snapshot.counter("exec.children");

@@ -4,7 +4,7 @@
 // this sampler answers "what is happening": a background thread wakes every
 // interval, snapshots every registered metric, and
 //
-//   * rewrites `metrics_file` atomically (tmp + rename) with the
+//   * rewrites `telemetry.metrics_file` atomically (tmp + rename) with the
 //     "ompfuzz-metrics-v1" JSON schema, so an external watcher — or the
 //     ROADMAP's distributed-fleet coordinator, which consumes exactly this
 //     snapshot as the runner heartbeat payload — always reads a complete,
@@ -24,6 +24,7 @@
 #include <string>
 #include <thread>
 
+#include "support/config.hpp"
 #include "support/telemetry.hpp"
 
 namespace ompfuzz {
@@ -34,15 +35,10 @@ namespace ompfuzz {
     const telemetry::MetricsSnapshot& snapshot);
 
 /// Background sampler; construct, start(), and stop() around a campaign run.
+/// Reads metrics_file, interval_ms and heartbeat from the [telemetry] config.
 class MetricsSampler {
  public:
-  struct Options {
-    std::string metrics_file;       ///< empty = no snapshot file
-    std::int64_t interval_ms = 500;
-    bool heartbeat = false;         ///< progress line on stderr per sample
-  };
-
-  explicit MetricsSampler(Options options);
+  explicit MetricsSampler(const TelemetryConfig& config);
   ~MetricsSampler();  ///< implies stop()
 
   MetricsSampler(const MetricsSampler&) = delete;
@@ -60,7 +56,7 @@ class MetricsSampler {
   void run();
   void sample(bool final_sample);
 
-  Options options_;
+  TelemetryConfig config_;
   std::thread thread_;
   std::mutex mutex_;
   std::condition_variable cv_;

@@ -1,13 +1,18 @@
 #include "support/config.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <thread>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
 #include "support/error.hpp"
+#include "support/fault_injection.hpp"
 #include "support/string_utils.hpp"
 
 namespace ompfuzz {
@@ -61,19 +66,10 @@ ConfigFile ConfigFile::load(const std::string& path) {
   return parse(buf.str());
 }
 
-bool ConfigFile::has(const std::string& key) const {
-  return entries_.contains(key);
-}
-
 std::optional<std::string> ConfigFile::get(const std::string& key) const {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return std::nullopt;
   return it->second;
-}
-
-std::string ConfigFile::get_or(const std::string& key,
-                               const std::string& fallback) const {
-  return get(key).value_or(fallback);
 }
 
 std::int64_t ConfigFile::get_int(const std::string& key, std::int64_t fallback) const {
@@ -134,230 +130,309 @@ void ConfigFile::set(const std::string& key, const std::string& value) {
 
 namespace {
 
-/// Reads an int-typed key with the narrowing range enforced at parse time:
-/// a value that fits int64 but not int is a config error, not a silent wrap.
-int get_config_int(const ConfigFile& file, const std::string& key, int fallback) {
-  return static_cast<int>(
-      file.get_int(key, fallback, std::numeric_limits<int>::min(),
-                   std::numeric_limits<int>::max()));
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// One config key: its name within the section, how it is read into the
+/// struct, and the inclusive range the value must lie in (for a string, the
+/// range of its length). A row is the only place a key exists: parsing,
+/// validate() and unknown-key rejection all read it.
+template <typename T>
+struct Field {
+  std::string_view key;
+  void (*read)(const ConfigFile& file, const std::string& key,
+               const std::string& value, T& out);
+  double (*measure)(const T& obj);  ///< nullptr: the key has no range
+  double min, max;
+  bool by_length = false;  ///< measure() is a string's length
+};
+
+template <typename P> struct MemberOf;
+template <typename T, typename M> struct MemberOf<M T::*> {
+  using Class = T;
+  using Type = M;
+};
+
+/// The row for `key`, stored in `member` (a data member, or a member
+/// function taking the raw text).
+template <auto member>
+constexpr auto field(std::string_view key, double min = -kInf,
+                     double max = kInf) {
+  using T = typename MemberOf<decltype(member)>::Class;
+  using M = typename MemberOf<decltype(member)>::Type;
+  Field<T> f{key, nullptr, nullptr, min, max, false};
+  f.read = [](const ConfigFile& file, const std::string& k,
+              const std::string& value, T& out) {
+    if constexpr (std::is_function_v<M>) {
+      (out.*member)(value);
+    } else if constexpr (std::is_same_v<M, bool>) {
+      out.*member = file.get_bool(k, false);
+    } else if constexpr (std::is_same_v<M, int>) {
+      // Range-checked before narrowing: 2^33 is an error, not a wrap.
+      out.*member = static_cast<int>(file.get_int(
+          k, 0, std::numeric_limits<int>::min(), std::numeric_limits<int>::max()));
+    } else if constexpr (std::is_integral_v<M>) {
+      out.*member = static_cast<M>(file.get_int(k, 0));
+    } else if constexpr (std::is_same_v<M, double>) {
+      out.*member = file.get_double(k, 0.0);
+    } else {
+      out.*member = value;
+    }
+  };
+  if constexpr (std::is_same_v<M, std::string>) {
+    f.measure = [](const T& obj) {
+      return static_cast<double>((obj.*member).size());
+    };
+    f.by_length = true;
+  } else if constexpr (std::is_arithmetic_v<M> && !std::is_same_v<M, bool>) {
+    f.measure = [](const T& obj) { return static_cast<double>(obj.*member); };
+  }
+  return f;
+}
+
+/// The field table of one `[name]` section.
+template <typename T>
+struct Section {
+  std::string_view name;
+  std::span<const Field<T>> fields;
+};
+
+using Gen = GeneratorConfig;
+constexpr Field<Gen> kGeneratorFields[] = {
+    field<&Gen::max_expression_size>("max_expression_size", 1),
+    field<&Gen::max_nesting_levels>("max_nesting_levels", 1),
+    field<&Gen::max_lines_in_block>("max_lines_in_block", 1),
+    field<&Gen::array_size>("array_size", 1),
+    field<&Gen::max_same_level_blocks>("max_same_level_blocks", 1),
+    field<&Gen::math_func_allowed>("math_func_allowed"),
+    field<&Gen::math_func_probability>("math_func_probability", 0, 1),
+    field<&Gen::num_threads>("num_threads", 1),
+    field<&Gen::max_loop_trip_count>("max_loop_trip_count", 1),
+    field<&Gen::p_if_block>("p_if_block", 0, 1),
+    field<&Gen::p_for_block>("p_for_block", 0, 1),
+    field<&Gen::p_openmp_block>("p_openmp_block", 0, 1),
+    field<&Gen::p_reduction>("p_reduction", 0, 1),
+    field<&Gen::p_critical>("p_critical", 0, 1),
+    field<&Gen::p_parallel_in_loop>("p_parallel_in_loop", 0, 1),
+    field<&Gen::enable_atomic>("enable_atomic"),
+    field<&Gen::enable_single>("enable_single"),
+    field<&Gen::enable_master>("enable_master"),
+    field<&Gen::enable_schedule>("enable_schedule"),
+    field<&Gen::enable_rangeidx>("enable_rangeidx"),
+    field<&Gen::enable_features>("features"),
+    field<&Gen::p_atomic>("p_atomic", 0, 1),
+    field<&Gen::p_single>("p_single", 0, 1),
+    field<&Gen::p_master>("p_master", 0, 1),
+    field<&Gen::p_schedule>("p_schedule", 0, 1),
+    field<&Gen::p_rangeidx>("p_rangeidx", 0, 1),
+};
+
+/// The feature gates by the names `generator.features` accepts.
+using Feature = std::pair<std::string_view, bool Gen::*>;
+constexpr Feature kFeatures[] = {
+    {"atomic", &Gen::enable_atomic},     {"single", &Gen::enable_single},
+    {"master", &Gen::enable_master},     {"schedule", &Gen::enable_schedule},
+    {"rangeidx", &Gen::enable_rangeidx},
+};
+
+constexpr Field<CampaignConfig> kCampaignFields[] = {
+    field<&CampaignConfig::num_programs>("num_programs", 1),
+    field<&CampaignConfig::inputs_per_program>("inputs_per_program", 1),
+    field<&CampaignConfig::seed>("seed"),
+    field<&CampaignConfig::alpha>("alpha"),  // > 0, checked in validate()
+    field<&CampaignConfig::beta>("beta"),    // > 1, checked in validate()
+    field<&CampaignConfig::min_time_us>("min_time_us", 0),
+    field<&CampaignConfig::threads>("threads", 0),  // 0 = hardware concurrency
+};
+
+constexpr Field<ExecutorConfig> kExecutorFields[] = {
+    field<&ExecutorConfig::work_dir>("work_dir", 1),
+    field<&ExecutorConfig::run_timeout_ms>("run_timeout_ms", 1),
+    field<&ExecutorConfig::compile_timeout_ms>("compile_timeout_ms", 1),
+    field<&ExecutorConfig::concurrent_runs>("concurrent_runs"),
+    field<&ExecutorConfig::max_inflight>("max_inflight", 0),  // 0 = 2x hardware
+};
+
+constexpr Field<SchedulerConfig> kSchedulerFields[] = {
+    field<&SchedulerConfig::backends>("backends", 1),
+    field<&SchedulerConfig::batch_size>("batch_size", 1),
+    field<&SchedulerConfig::steal>("steal"),
+};
+
+constexpr Field<StoreConfig> kStoreFields[] = {
+    field<&StoreConfig::enabled>("enabled"),
+    field<&StoreConfig::dir>("dir", 1),
+    field<&StoreConfig::max_bytes>("max_bytes", 0),
+};
+
+constexpr Field<RetryConfig> kRetryFields[] = {
+    field<&RetryConfig::max_attempts>("max_attempts", 1),
+    field<&RetryConfig::base_ms>("base_ms", 0),
+    field<&RetryConfig::cap_ms>("cap_ms", 0),
+    field<&RetryConfig::backend_death_threshold>("backend_death_threshold", 1),
+};
+
+constexpr Field<FaultConfig> kFaultFields[] = {
+    field<&FaultConfig::enabled>("enabled"),
+    field<&FaultConfig::rate>("rate", 0, 1),
+    field<&FaultConfig::seed>("seed"),
+    field<&FaultConfig::sites>("sites"),  // names checked in validate()
+};
+
+constexpr Field<TelemetryConfig> kTelemetryFields[] = {
+    field<&TelemetryConfig::trace_file>("trace_file"),
+    field<&TelemetryConfig::metrics_file>("metrics_file"),
+    field<&TelemetryConfig::interval_ms>("interval_ms", 1),
+    field<&TelemetryConfig::heartbeat>("heartbeat"),
+};
+
+/// Every section a table owns. [implementations] is not among them: its
+/// keys are free-form implementation names (see CampaignConfig).
+constexpr std::tuple kSections{
+    Section<Gen>{"generator", kGeneratorFields},
+    Section<CampaignConfig>{"campaign", kCampaignFields},
+    Section<ExecutorConfig>{"executor", kExecutorFields},
+    Section<SchedulerConfig>{"scheduler", kSchedulerFields},
+    Section<StoreConfig>{"store", kStoreFields},
+    Section<RetryConfig>{"retry", kRetryFields},
+    Section<FaultConfig>{"faults", kFaultFields},
+    Section<TelemetryConfig>{"telemetry", kTelemetryFields},
+};
+
+template <typename T>
+const Section<T>& section_of() {
+  return std::get<Section<T>>(kSections);
+}
+
+/// Reads T's section onto T's defaults, rejecting any key its table does not
+/// list, and validates the result. Keys are read in name order, so the
+/// `features` list lands after (and only adds to) the enable_* gates.
+template <typename T>
+T parse_section(const ConfigFile& file, const Section<T>& section) {
+  const std::string prefix = std::string(section.name) + ".";
+  T out;
+  for (const auto& [key, value] : file.entries()) {
+    if (!starts_with(key, prefix)) continue;
+    const auto field = std::ranges::find(
+        section.fields, std::string_view(key).substr(prefix.size()),
+        &Field<T>::key);
+    if (field == section.fields.end()) {
+      throw ConfigError("unknown config key '" + key + "'");
+    }
+    field->read(file, key, value, out);
+  }
+  out.validate();
+  return out;
+}
+
+/// Throws unless each numeric member of `obj`, and each string member's
+/// length, lies in its row's range.
+template <typename T>
+void check_ranges(const T& obj) {
+  const Section<T>& section = section_of<T>();
+  for (const Field<T>& field : section.fields) {
+    if (field.measure == nullptr) continue;
+    const double value = field.measure(obj);
+    if (value >= field.min && value <= field.max) continue;
+    std::ostringstream msg;
+    msg << (field.by_length ? "length of " : "") << section.name << "."
+        << field.key << " must be in [" << field.min << ", " << field.max
+        << "], got " << value;
+    throw ConfigError(msg.str());
+  }
 }
 
 }  // namespace
 
 GeneratorConfig GeneratorConfig::from_config(const ConfigFile& file) {
-  GeneratorConfig g;
-  const auto geti = [&](const char* k, int d) {
-    return get_config_int(file, std::string("generator.") + k, d);
-  };
-  const auto getd = [&](const char* k, double d) {
-    return file.get_double(std::string("generator.") + k, d);
-  };
-  g.max_expression_size = geti("max_expression_size", g.max_expression_size);
-  g.max_nesting_levels = geti("max_nesting_levels", g.max_nesting_levels);
-  g.max_lines_in_block = geti("max_lines_in_block", g.max_lines_in_block);
-  g.array_size = geti("array_size", g.array_size);
-  g.max_same_level_blocks = geti("max_same_level_blocks", g.max_same_level_blocks);
-  g.math_func_allowed = file.get_bool("generator.math_func_allowed", g.math_func_allowed);
-  g.math_func_probability = getd("math_func_probability", g.math_func_probability);
-  g.input_samples_per_run = geti("input_samples_per_run", g.input_samples_per_run);
-  g.num_threads = geti("num_threads", g.num_threads);
-  g.max_loop_trip_count = geti("max_loop_trip_count", g.max_loop_trip_count);
-  g.p_if_block = getd("p_if_block", g.p_if_block);
-  g.p_for_block = getd("p_for_block", g.p_for_block);
-  g.p_openmp_block = getd("p_openmp_block", g.p_openmp_block);
-  g.p_reduction = getd("p_reduction", g.p_reduction);
-  g.p_critical = getd("p_critical", g.p_critical);
-  g.p_parallel_in_loop = getd("p_parallel_in_loop", g.p_parallel_in_loop);
-  g.enable_atomic = file.get_bool("generator.enable_atomic", g.enable_atomic);
-  g.enable_single = file.get_bool("generator.enable_single", g.enable_single);
-  g.enable_master = file.get_bool("generator.enable_master", g.enable_master);
-  g.enable_schedule =
-      file.get_bool("generator.enable_schedule", g.enable_schedule);
-  g.enable_rangeidx =
-      file.get_bool("generator.enable_rangeidx", g.enable_rangeidx);
-  if (const auto csv = file.get("generator.features")) g.enable_features(*csv);
-  g.p_atomic = getd("p_atomic", g.p_atomic);
-  g.p_single = getd("p_single", g.p_single);
-  g.p_master = getd("p_master", g.p_master);
-  g.p_schedule = getd("p_schedule", g.p_schedule);
-  g.p_rangeidx = getd("p_rangeidx", g.p_rangeidx);
-  g.validate();
-  return g;
+  return parse_section(file, section_of<GeneratorConfig>());
 }
 
 void GeneratorConfig::enable_features(const std::string& csv) {
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    std::size_t end = csv.find(',', pos);
-    if (end == std::string::npos) end = csv.size();
-    std::string name = csv.substr(pos, end - pos);
-    // Trim surrounding whitespace so "atomic, single" parses.
-    while (!name.empty() && std::isspace(static_cast<unsigned char>(name.front()))) {
-      name.erase(name.begin());
-    }
-    while (!name.empty() && std::isspace(static_cast<unsigned char>(name.back()))) {
-      name.pop_back();
-    }
-    if (!name.empty()) {
-      if (name == "atomic") {
-        enable_atomic = true;
-      } else if (name == "single") {
-        enable_single = true;
-      } else if (name == "master") {
-        enable_master = true;
-      } else if (name == "schedule") {
-        enable_schedule = true;
-      } else if (name == "rangeidx") {
-        enable_rangeidx = true;
-      } else {
-        throw ConfigError("unknown generator feature: '" + name +
-                          "' (expected atomic, single, master, schedule, or "
-                          "rangeidx)");
+  for (const auto& token : split(csv, ',')) {
+    const std::string_view name = trim(token);
+    if (name.empty()) continue;
+    const auto* it = std::ranges::find(kFeatures, name, &Feature::first);
+    if (it == std::end(kFeatures)) {
+      std::string known;
+      for (const auto& [feature, gate] : kFeatures) {
+        known += (known.empty() ? "" : ", ") + std::string(feature);
       }
+      throw ConfigError("unknown generator feature: '" + std::string(name) +
+                        "' (expected one of " + known + ")");
     }
-    pos = end + 1;
+    this->*(it->second) = true;
   }
 }
 
-void GeneratorConfig::validate() const {
-  const auto require = [](bool ok, const char* what) {
-    if (!ok) throw ConfigError(what);
-  };
-  require(max_expression_size >= 1, "max_expression_size must be >= 1");
-  require(max_nesting_levels >= 1, "max_nesting_levels must be >= 1");
-  require(max_lines_in_block >= 1, "max_lines_in_block must be >= 1");
-  require(array_size >= 1, "array_size must be >= 1");
-  require(max_same_level_blocks >= 1, "max_same_level_blocks must be >= 1");
-  require(input_samples_per_run >= 1, "input_samples_per_run must be >= 1");
-  require(num_threads >= 1, "num_threads must be >= 1");
-  require(max_loop_trip_count >= 1, "max_loop_trip_count must be >= 1");
-  require(math_func_probability >= 0.0 && math_func_probability <= 1.0,
-          "math_func_probability must be in [0,1]");
-  for (double p : {p_if_block, p_for_block, p_openmp_block, p_reduction,
-                   p_critical, p_parallel_in_loop}) {
-    require(p >= 0.0 && p <= 1.0, "block probabilities must be in [0,1]");
-  }
-  for (double p : {p_atomic, p_single, p_master, p_schedule, p_rangeidx}) {
-    require(p >= 0.0 && p <= 1.0, "feature probabilities must be in [0,1]");
-  }
-}
+void GeneratorConfig::validate() const { check_ranges(*this); }
 
 ExecutorConfig ExecutorConfig::from_config(const ConfigFile& file) {
-  ExecutorConfig e;
-  e.work_dir = file.get_or("executor.work_dir", e.work_dir);
-  e.run_timeout_ms = file.get_int("executor.run_timeout_ms", e.run_timeout_ms);
-  e.compile_timeout_ms =
-      file.get_int("executor.compile_timeout_ms", e.compile_timeout_ms);
-  e.concurrent_runs =
-      file.get_bool("executor.concurrent_runs", e.concurrent_runs);
-  e.max_inflight = get_config_int(file, "executor.max_inflight", e.max_inflight);
-  e.validate();
-  return e;
+  return parse_section(file, section_of<ExecutorConfig>());
 }
-
-void ExecutorConfig::validate() const {
-  if (work_dir.empty()) throw ConfigError("executor.work_dir must not be empty");
-  if (run_timeout_ms <= 0) throw ConfigError("executor.run_timeout_ms must be > 0");
-  if (compile_timeout_ms <= 0) {
-    throw ConfigError("executor.compile_timeout_ms must be > 0");
-  }
-  if (max_inflight < 0) {
-    throw ConfigError(
-        "executor.max_inflight must be >= 0 (0 = 2x hardware concurrency)");
-  }
-}
+void ExecutorConfig::validate() const { check_ranges(*this); }
 
 SchedulerConfig SchedulerConfig::from_config(const ConfigFile& file) {
-  SchedulerConfig s;
-  s.backends = get_config_int(file, "scheduler.backends", s.backends);
-  s.batch_size = get_config_int(file, "scheduler.batch_size", s.batch_size);
-  s.steal = file.get_bool("scheduler.steal", s.steal);
-  s.validate();
-  return s;
+  return parse_section(file, section_of<SchedulerConfig>());
 }
-
-void SchedulerConfig::validate() const {
-  if (backends < 1) throw ConfigError("scheduler.backends must be >= 1");
-  if (batch_size < 1) throw ConfigError("scheduler.batch_size must be >= 1");
-}
+void SchedulerConfig::validate() const { check_ranges(*this); }
 
 RetryConfig RetryConfig::from_config(const ConfigFile& file) {
-  RetryConfig r;
-  r.max_attempts = get_config_int(file, "retry.max_attempts", r.max_attempts);
-  r.base_ms = file.get_int("retry.base_ms", r.base_ms);
-  r.cap_ms = file.get_int("retry.cap_ms", r.cap_ms);
-  r.backend_death_threshold = get_config_int(
-      file, "retry.backend_death_threshold", r.backend_death_threshold);
-  r.validate();
-  return r;
+  return parse_section(file, section_of<RetryConfig>());
 }
-
-void RetryConfig::validate() const {
-  if (max_attempts < 1) {
-    throw ConfigError("retry.max_attempts must be >= 1 (1 = no retries)");
-  }
-  if (base_ms < 0) throw ConfigError("retry.base_ms must be >= 0");
-  if (cap_ms < 0) throw ConfigError("retry.cap_ms must be >= 0");
-  if (backend_death_threshold < 1) {
-    throw ConfigError("retry.backend_death_threshold must be >= 1");
-  }
-}
+void RetryConfig::validate() const { check_ranges(*this); }
 
 StoreConfig StoreConfig::from_config(const ConfigFile& file) {
-  StoreConfig s;
-  s.enabled = file.get_bool("store.enabled", s.enabled);
-  s.dir = file.get_or("store.dir", s.dir);
-  s.max_bytes = file.get_int("store.max_bytes", s.max_bytes, 0,
-                             std::numeric_limits<std::int64_t>::max());
-  s.validate();
-  return s;
+  return parse_section(file, section_of<StoreConfig>());
+}
+void StoreConfig::validate() const { check_ranges(*this); }
+
+FaultConfig FaultConfig::from_config(const ConfigFile& file) {
+  return parse_section(file, section_of<FaultConfig>());
 }
 
-void StoreConfig::validate() const {
-  if (dir.empty()) throw ConfigError("store.dir must not be empty");
-  if (max_bytes < 0) throw ConfigError("store.max_bytes must be >= 0");
+void FaultConfig::validate() const {
+  check_ranges(*this);
+  for (const auto& token : split(sites, ',')) {
+    const auto name = trim(token);
+    if (!name.empty() && !fault_site_by_name(name)) {
+      throw ConfigError("faults.sites names unknown site '" +
+                        std::string(name) + "'");
+    }
+  }
 }
 
 TelemetryConfig TelemetryConfig::from_config(const ConfigFile& file) {
-  TelemetryConfig t;
-  t.trace_file = file.get_or("telemetry.trace_file", t.trace_file);
-  t.metrics_file = file.get_or("telemetry.metrics_file", t.metrics_file);
-  t.interval_ms = file.get_int("telemetry.interval_ms", t.interval_ms);
-  t.heartbeat = file.get_bool("telemetry.heartbeat", t.heartbeat);
-  t.validate();
-  return t;
+  return parse_section(file, section_of<TelemetryConfig>());
 }
-
-void TelemetryConfig::validate() const {
-  if (interval_ms <= 0) {
-    throw ConfigError("telemetry.interval_ms must be > 0");
-  }
-}
+void TelemetryConfig::validate() const { check_ranges(*this); }
 
 CampaignConfig CampaignConfig::from_config(const ConfigFile& file) {
-  CampaignConfig c;
-  c.generator = GeneratorConfig::from_config(file);
-  c.retry = RetryConfig::from_config(file);
-  c.num_programs = get_config_int(file, "campaign.num_programs", c.num_programs);
-  c.inputs_per_program =
-      get_config_int(file, "campaign.inputs_per_program", c.inputs_per_program);
-  c.seed = static_cast<std::uint64_t>(file.get_int("campaign.seed",
-                                                   static_cast<std::int64_t>(c.seed)));
-  c.alpha = file.get_double("campaign.alpha", c.alpha);
-  c.beta = file.get_double("campaign.beta", c.beta);
-  c.min_time_us = file.get_int("campaign.min_time_us", c.min_time_us);
-  c.hang_timeout_us = file.get_int("campaign.hang_timeout_us", c.hang_timeout_us);
-  c.output_dir = file.get_or("campaign.output_dir", c.output_dir);
-  c.threads = get_config_int(file, "campaign.threads", c.threads);
+  // Parsing every owned section rejects its unknown keys and bad values.
+  const auto sections = std::apply(
+      [&](const auto&... s) { return std::tuple{parse_section(file, s)...}; },
+      kSections);
+  CampaignConfig c = std::get<CampaignConfig>(sections);
+  c.generator = std::get<GeneratorConfig>(sections);
+  c.retry = std::get<RetryConfig>(sections);
 
-  // Implementations are listed as "implementations.NAME = profile_or_command".
-  // A value starting with "profile:" selects a simulated runtime profile;
-  // anything else is treated as a compile command template.
+  // Any other key is a typo, and fails here instead of running a different
+  // campaign, unless it is "implementations.NAME = value": "profile: P"
+  // selects a simulated runtime profile, anything else a compile command.
   for (const auto& [key, value] : file.entries()) {
-    constexpr std::string_view prefix = "implementations.";
-    if (!starts_with(key, prefix)) continue;
+    const std::string_view section = std::string_view(key).substr(0, key.find('.'));
+    if (section == key) {
+      throw ConfigError("config key '" + key + "' is outside any section");
+    }
+    if (section != "implementations") {
+      if (std::apply([&](const auto&... s) { return ((s.name == section) || ...); },
+                     kSections)) {
+        continue;
+      }
+      throw ConfigError("unknown config section '[" + std::string(section) +
+                        "]' (key '" + key + "')");
+    }
     ImplementationSpec spec;
-    spec.name = key.substr(prefix.size());
+    spec.name = key.substr(section.size() + 1);
     if (starts_with(value, "profile:")) {
       spec.profile = std::string(trim(std::string_view(value).substr(8)));
     } else {
@@ -372,13 +447,9 @@ CampaignConfig CampaignConfig::from_config(const ConfigFile& file) {
 void CampaignConfig::validate() const {
   generator.validate();
   retry.validate();
-  if (num_programs < 1) throw ConfigError("num_programs must be >= 1");
-  if (inputs_per_program < 1) throw ConfigError("inputs_per_program must be >= 1");
-  if (alpha <= 0.0) throw ConfigError("alpha must be > 0");
-  if (beta <= 1.0) throw ConfigError("beta must be > 1");
-  if (min_time_us < 0) throw ConfigError("min_time_us must be >= 0");
-  if (hang_timeout_us <= 0) throw ConfigError("hang_timeout_us must be > 0");
-  if (threads < 0) throw ConfigError("threads must be >= 0 (0 = hardware concurrency)");
+  check_ranges(*this);
+  if (alpha <= 0.0) throw ConfigError("campaign.alpha must be > 0");
+  if (beta <= 1.0) throw ConfigError("campaign.beta must be > 1");
 }
 
 std::size_t hardware_thread_count() noexcept {

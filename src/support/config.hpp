@@ -4,7 +4,9 @@
 // to use, optimization levels, output directories, and the knobs that bound
 // program complexity (Section III-C). We support the same: an INI-style file
 // parsed into ConfigFile, plus the strongly-typed GeneratorConfig /
-// CampaignConfig views used by the rest of the framework.
+// CampaignConfig views used by the rest of the framework. Each section's keys
+// are declared once, as rows of that section's field table in config.cpp;
+// from_config rejects keys (and, in CampaignConfig, sections) no table owns.
 #pragma once
 
 #include <cstdint>
@@ -29,10 +31,7 @@ class ConfigFile {
   /// Loads and parses a file. Throws ConfigError if unreadable.
   static ConfigFile load(const std::string& path);
 
-  [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
-  [[nodiscard]] std::string get_or(const std::string& key,
-                                   const std::string& fallback) const;
   /// Typed getters throw ConfigError if present but unparsable — including
   /// trailing garbage ("1.5x") and values outside the target type's range,
   /// which are rejected loudly instead of being silently truncated.
@@ -66,7 +65,6 @@ struct GeneratorConfig {
   int max_same_level_blocks = 3;  ///< max sibling blocks at one nesting level
   bool math_func_allowed = true;  ///< allow calls into <math.h>
   double math_func_probability = 0.01;  ///< chance an expression term is a call
-  int input_samples_per_run = 3;  ///< distinct inputs generated per program
 
   int num_threads = 32;           ///< num_threads(...) on every parallel region
   int max_loop_trip_count = 1000; ///< upper bound for random loop bounds
@@ -103,9 +101,10 @@ struct GeneratorConfig {
   /// unknown names.
   void enable_features(const std::string& csv);
 
-  /// Reads the [generator] section; unspecified keys keep their defaults.
+  // Every section struct has these. from_config reads its section (unset
+  // keys keep their defaults, unknown keys throw ConfigError) and validates;
+  // validate() throws ConfigError unless each value is in its row's range.
   static GeneratorConfig from_config(const ConfigFile& file);
-  /// Validates ranges (e.g. positive sizes); throws ConfigError otherwise.
   void validate() const;
 };
 
@@ -131,9 +130,7 @@ struct ExecutorConfig {
   /// 0 = 2x hardware concurrency.
   int max_inflight = 0;
 
-  /// Reads the [executor] section; unspecified keys keep their defaults.
   static ExecutorConfig from_config(const ConfigFile& file);
-  /// Validates ranges; throws ConfigError otherwise.
   void validate() const;
 };
 
@@ -152,9 +149,7 @@ struct SchedulerConfig {
   /// hang-heavy shard cannot strand the rest of its batch on one worker.
   bool steal = true;
 
-  /// Reads the [scheduler] section; unspecified keys keep their defaults.
   static SchedulerConfig from_config(const ConfigFile& file);
-  /// Validates ranges; throws ConfigError otherwise.
   void validate() const;
 };
 
@@ -171,9 +166,7 @@ struct StoreConfig {
   /// campaign.
   std::int64_t max_bytes = 0;
 
-  /// Reads the [store] section; unspecified keys keep their defaults.
   static StoreConfig from_config(const ConfigFile& file);
-  /// Validates ranges; throws ConfigError otherwise.
   void validate() const;
 };
 
@@ -198,9 +191,7 @@ struct RetryConfig {
   /// as quarantined losses otherwise.
   int backend_death_threshold = 4;
 
-  /// Reads the [retry] section; unspecified keys keep their defaults.
   static RetryConfig from_config(const ConfigFile& file);
-  /// Validates ranges; throws ConfigError otherwise.
   void validate() const;
 };
 
@@ -220,9 +211,7 @@ struct FaultConfig {
   /// empty = all sites.
   std::string sites;
 
-  /// Reads the [faults] section; unspecified keys keep their defaults.
   static FaultConfig from_config(const ConfigFile& file);
-  /// Validates ranges and site names; throws ConfigError otherwise.
   void validate() const;
 };
 
@@ -243,9 +232,7 @@ struct TelemetryConfig {
   /// store hit-rate, live backends).
   bool heartbeat = false;
 
-  /// Reads the [telemetry] section; unspecified keys keep their defaults.
   static TelemetryConfig from_config(const ConfigFile& file);
-  /// Validates ranges; throws ConfigError otherwise.
   void validate() const;
 };
 
@@ -260,13 +247,14 @@ struct CampaignConfig {
   double alpha = 0.2;            ///< comparable-times threshold (Eq. 1)
   double beta = 1.5;             ///< outlier threshold (Eq. 2)
   std::int64_t min_time_us = 1000;   ///< analysis filter: ignore tests faster than this
-  std::int64_t hang_timeout_us = 180'000'000;  ///< 3 minutes, as in Case Study 3
-  std::string output_dir = "_tests";
   /// Worker threads for the campaign engine: one generated program per shard.
   /// 1 = serial (default), 0 = hardware concurrency, N = exactly N workers.
   /// Results are identical for every value (deterministic sharding).
   int threads = 1;
 
+  /// Reads [campaign], [generator] and [retry]. Also rejects any key outside
+  /// a section, in a section no field table owns, or missing from its
+  /// section's table; [implementations] names are free-form.
   static CampaignConfig from_config(const ConfigFile& file);
   void validate() const;
 };

@@ -20,7 +20,8 @@ class Error : public std::runtime_error {
 /// Raised when a configuration file or value is malformed.
 class ConfigError : public Error {
  public:
-  explicit ConfigError(const std::string& what) : Error("config: " + what) {}
+  explicit ConfigError(const std::string& what)
+      : Error("config error: " + what) {}
 };
 
 /// Raised when generated-program construction violates a grammar invariant.

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/string_utils.hpp"
 
@@ -41,31 +40,6 @@ std::optional<FaultSite> fault_site_by_name(std::string_view name) {
     }
   }
   return std::nullopt;
-}
-
-FaultConfig FaultConfig::from_config(const ConfigFile& file) {
-  FaultConfig f;
-  f.enabled = file.get_bool("faults.enabled", f.enabled);
-  f.rate = file.get_double("faults.rate", f.rate);
-  f.seed = static_cast<std::uint64_t>(
-      file.get_int("faults.seed", static_cast<std::int64_t>(f.seed)));
-  f.sites = file.get_or("faults.sites", f.sites);
-  f.validate();
-  return f;
-}
-
-void FaultConfig::validate() const {
-  if (rate < 0.0 || rate > 1.0) {
-    throw ConfigError("faults.rate must be in [0,1]");
-  }
-  for (const auto& token : split(sites, ',')) {
-    const auto name = trim(token);
-    if (name.empty()) continue;
-    if (!fault_site_by_name(name)) {
-      throw ConfigError("faults.sites names unknown site '" +
-                        std::string(name) + "'");
-    }
-  }
 }
 
 FaultInjector& FaultInjector::instance() {

@@ -186,7 +186,7 @@ TEST(Config, ParsesSectionsAndTypes) {
   EXPECT_EQ(cfg.get_int("generator.max_expression_size", 0), 7);
   EXPECT_TRUE(cfg.get_bool("generator.math_func_allowed", false));
   EXPECT_DOUBLE_EQ(cfg.get_double("campaign.alpha", 0.0), 0.25);
-  EXPECT_EQ(cfg.get_or("campaign.name", ""), "hello");
+  EXPECT_EQ(cfg.get("campaign.name"), "hello");
 }
 
 TEST(Config, MissingKeysFallBack) {
@@ -400,6 +400,48 @@ TEST(Config, CampaignConfigParsesImplementations) {
   EXPECT_EQ(c.implementations[0].profile, "libgomp");
   EXPECT_EQ(c.implementations[1].name, "real");
   EXPECT_TRUE(c.implementations[1].profile.empty());
+}
+
+TEST(Config, UnknownKeysAndSectionsAreRejected) {
+  // A misspelled or retired key must fail loudly, naming the key, instead of
+  // silently running a different campaign.
+  const auto expect_rejected = [](const std::string& ini,
+                                  const std::string& key) {
+    try {
+      (void)CampaignConfig::from_config(ConfigFile::parse(ini));
+      ADD_FAILURE() << "expected ConfigError for " << key;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected("[generator]\nenable_atomc = true\n", "enable_atomc");
+  expect_rejected("[campaign]\nnum_progams = 5\n", "num_progams");
+  expect_rejected("[sheduler]\nbackends = 2\n", "sheduler.backends");
+  expect_rejected("num_programs = 5\n[campaign]\nseed = 1\n", "num_programs");
+  expect_rejected("[campaign]\noutput_dir = /nonexistent\n", "output_dir");
+  expect_rejected("[campaign]\nhang_timeout_us = 1\n", "hang_timeout_us");
+  expect_rejected("[generator]\ninput_samples_per_run = 3\n",
+                  "input_samples_per_run");
+  // Each section's own from_config rejects its unknown keys too.
+  EXPECT_THROW((void)GeneratorConfig::from_config(
+                   ConfigFile::parse("[generator]\nenable_atomc = true\n")),
+               ConfigError);
+  EXPECT_THROW((void)SchedulerConfig::from_config(
+                   ConfigFile::parse("[scheduler]\nbakends = 2\n")),
+               ConfigError);
+
+  // [implementations] keeps free-form names, and every owned section parses.
+  const auto c = CampaignConfig::from_config(ConfigFile::parse(
+      "[implementations]\nmy-odd_name.v2 = profile: libgomp\n"
+      "anything = g++ -fopenmp {src} -o {bin}\n"
+      "[executor]\nmax_inflight = 4\n[scheduler]\nsteal = off\n"
+      "[store]\nenabled = false\n[faults]\nrate = 0.5\n"
+      "[telemetry]\nheartbeat = on\n[retry]\ncap_ms = 5\n"));
+  ASSERT_EQ(c.implementations.size(), 2u);
+  EXPECT_EQ(c.implementations[0].name, "anything");
+  EXPECT_EQ(c.implementations[1].name, "my-odd_name.v2");
+  EXPECT_EQ(c.retry.cap_ms, 5);
 }
 
 TEST(Config, CampaignValidationRejectsBadThresholds) {
