@@ -24,6 +24,36 @@ GeneratorConfig bench_config() {
   return cfg;
 }
 
+/// The first campaign-stream programs (race-free, as a campaign runs them)
+/// that have at least one parallel region: what the interpreter and the
+/// race analyzer actually see, not one hand-picked seed.
+const std::vector<harness::TestCase>& campaign_corpus() {
+  static const std::vector<harness::TestCase> corpus = [] {
+    constexpr std::size_t kPrograms = 16;
+    CampaignConfig cfg;
+    cfg.generator = bench_config();
+    harness::SimExecutor exec;
+    const harness::Campaign campaign(cfg, exec);
+    std::vector<harness::TestCase> out;
+    for (int k = 0; out.size() < kPrograms; ++k) {
+      auto test = campaign.make_test_case(k);
+      if (test.features.num_parallel_regions > 0) out.push_back(std::move(test));
+    }
+    return out;
+  }();
+  return corpus;
+}
+
+/// Rate counters: programs/s from the iteration count, steps/s if given.
+void report_rates(benchmark::State& state, double steps = 0.0) {
+  state.counters["programs_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+  if (steps > 0.0) {
+    state.counters["steps_per_s"] =
+        benchmark::Counter(steps, benchmark::Counter::kIsRate);
+  }
+}
+
 void BM_GenerateProgram(benchmark::State& state) {
   const core::ProgramGenerator gen(bench_config());
   std::uint64_t seed = 0;
@@ -35,12 +65,13 @@ void BM_GenerateProgram(benchmark::State& state) {
 BENCHMARK(BM_GenerateProgram);
 
 void BM_RaceCheck(benchmark::State& state) {
-  const core::ProgramGenerator gen(bench_config());
-  const auto prog = gen.generate("bench", 42);
+  const auto& corpus = campaign_corpus();
+  std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::analyze_races(prog));
+    benchmark::DoNotOptimize(
+        analysis::analyze_races(corpus[next++ % corpus.size()].program));
   }
-  state.SetItemsProcessed(state.iterations());
+  report_rates(state);
 }
 BENCHMARK(BM_RaceCheck);
 
@@ -79,21 +110,22 @@ void BM_GenerateInputs(benchmark::State& state) {
 BENCHMARK(BM_GenerateInputs);
 
 void BM_InterpretProgram(benchmark::State& state) {
-  // Thread count swept: the serial-in-region replication factor.
-  const core::ProgramGenerator gen(bench_config());
-  const auto prog = gen.generate("bench", 11);
-  const fp::InputGenerator input_gen;
-  RandomEngine rng(7);
-  const auto input = input_gen.generate(prog.signature(), rng);
+  // One corpus program (first input) per iteration. Thread count swept: the
+  // serial-in-region replication factor. The sim-interp workload's 250K step
+  // budget bounds the heavy tail of the program mix.
+  const auto& corpus = campaign_corpus();
   interp::InterpOptions opt;
   opt.num_threads_override = static_cast<int>(state.range(0));
+  opt.max_steps = 250'000;
+  std::size_t next = 0;
   std::uint64_t steps = 0;
   for (auto _ : state) {
-    const auto result = interp::execute(prog, input, opt);
+    const auto& test = corpus[next++ % corpus.size()];
+    const auto result = interp::execute(test.program, test.inputs[0], opt);
     steps += result.steps;
     benchmark::DoNotOptimize(result.comp);
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(steps));
+  report_rates(state, static_cast<double>(steps));
 }
 BENCHMARK(BM_InterpretProgram)->Arg(1)->Arg(8)->Arg(32);
 

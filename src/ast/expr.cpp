@@ -58,62 +58,6 @@ ExprPtr Expr::call(MathFunc func, ExprPtr arg) {
   return e;
 }
 
-double Expr::fp_value() const {
-  OMPFUZZ_CHECK(kind_ == Kind::FpConst, "fp_value on non-FpConst");
-  return fp_value_;
-}
-
-FpWidth Expr::fp_width() const {
-  OMPFUZZ_CHECK(kind_ == Kind::FpConst, "fp_width on non-FpConst");
-  return width_;
-}
-
-std::int64_t Expr::int_value() const {
-  OMPFUZZ_CHECK(kind_ == Kind::IntConst, "int_value on non-IntConst");
-  return int_value_;
-}
-
-VarId Expr::var_id() const {
-  OMPFUZZ_CHECK(kind_ == Kind::VarRef || kind_ == Kind::ArrayRef,
-                "var_id on non-variable expr");
-  return var_;
-}
-
-const Expr& Expr::index() const {
-  OMPFUZZ_CHECK(kind_ == Kind::ArrayRef, "index on non-ArrayRef");
-  return *index_;
-}
-
-BinOp Expr::bin_op() const {
-  OMPFUZZ_CHECK(kind_ == Kind::Binary, "bin_op on non-Binary");
-  return bin_op_;
-}
-
-bool Expr::parenthesized() const {
-  OMPFUZZ_CHECK(kind_ == Kind::Binary, "parenthesized on non-Binary");
-  return paren_;
-}
-
-const Expr& Expr::lhs() const {
-  OMPFUZZ_CHECK(kind_ == Kind::Binary, "lhs on non-Binary");
-  return *lhs_;
-}
-
-const Expr& Expr::rhs() const {
-  OMPFUZZ_CHECK(kind_ == Kind::Binary, "rhs on non-Binary");
-  return *rhs_;
-}
-
-MathFunc Expr::func() const {
-  OMPFUZZ_CHECK(kind_ == Kind::Call, "func on non-Call");
-  return func_;
-}
-
-const Expr& Expr::arg() const {
-  OMPFUZZ_CHECK(kind_ == Kind::Call, "arg on non-Call");
-  return *lhs_;
-}
-
 ExprPtr Expr::clone() const {
   switch (kind_) {
     case Kind::FpConst: return fp_const(fp_value_, width_);

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "ast/types.hpp"
+#include "support/error.hpp"
 
 namespace ompfuzz::ast {
 
@@ -46,17 +47,54 @@ class Expr {
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
 
   // -- Accessors (valid only for the matching kind; checked) ---------------
-  [[nodiscard]] double fp_value() const;
-  [[nodiscard]] FpWidth fp_width() const;
-  [[nodiscard]] std::int64_t int_value() const;
-  [[nodiscard]] VarId var_id() const;          ///< VarRef and ArrayRef
-  [[nodiscard]] const Expr& index() const;     ///< ArrayRef
-  [[nodiscard]] BinOp bin_op() const;
-  [[nodiscard]] bool parenthesized() const;
-  [[nodiscard]] const Expr& lhs() const;
-  [[nodiscard]] const Expr& rhs() const;
-  [[nodiscard]] MathFunc func() const;
-  [[nodiscard]] const Expr& arg() const;
+  // Inline: the interpreter calls these several times per evaluated node.
+  [[nodiscard]] double fp_value() const {
+    OMPFUZZ_CHECK(kind_ == Kind::FpConst, "fp_value on non-FpConst");
+    return fp_value_;
+  }
+  [[nodiscard]] FpWidth fp_width() const {
+    OMPFUZZ_CHECK(kind_ == Kind::FpConst, "fp_width on non-FpConst");
+    return width_;
+  }
+  [[nodiscard]] std::int64_t int_value() const {
+    OMPFUZZ_CHECK(kind_ == Kind::IntConst, "int_value on non-IntConst");
+    return int_value_;
+  }
+  /// VarRef and ArrayRef.
+  [[nodiscard]] VarId var_id() const {
+    OMPFUZZ_CHECK(kind_ == Kind::VarRef || kind_ == Kind::ArrayRef,
+                  "var_id on non-variable expr");
+    return var_;
+  }
+  /// ArrayRef.
+  [[nodiscard]] const Expr& index() const {
+    OMPFUZZ_CHECK(kind_ == Kind::ArrayRef, "index on non-ArrayRef");
+    return *index_;
+  }
+  [[nodiscard]] BinOp bin_op() const {
+    OMPFUZZ_CHECK(kind_ == Kind::Binary, "bin_op on non-Binary");
+    return bin_op_;
+  }
+  [[nodiscard]] bool parenthesized() const {
+    OMPFUZZ_CHECK(kind_ == Kind::Binary, "parenthesized on non-Binary");
+    return paren_;
+  }
+  [[nodiscard]] const Expr& lhs() const {
+    OMPFUZZ_CHECK(kind_ == Kind::Binary, "lhs on non-Binary");
+    return *lhs_;
+  }
+  [[nodiscard]] const Expr& rhs() const {
+    OMPFUZZ_CHECK(kind_ == Kind::Binary, "rhs on non-Binary");
+    return *rhs_;
+  }
+  [[nodiscard]] MathFunc func() const {
+    OMPFUZZ_CHECK(kind_ == Kind::Call, "func on non-Call");
+    return func_;
+  }
+  [[nodiscard]] const Expr& arg() const {
+    OMPFUZZ_CHECK(kind_ == Kind::Call, "arg on non-Call");
+    return *lhs_;
+  }
 
   [[nodiscard]] ExprPtr clone() const;
   /// Deep copy with every variable reference translated through `map`

@@ -47,14 +47,12 @@ FpClass classify_magnitude(double mag, double max_normal, double min_normal,
 
 FpClass classify(double v) noexcept {
   if (std::isnan(v) || std::isinf(v)) return FpClass::AlmostInfinity;
-  return classify_magnitude(std::fabs(v), DBL_MAX, DBL_MIN,
-                            std::fpclassify(v) == FP_SUBNORMAL);
+  return classify_magnitude(std::fabs(v), DBL_MAX, DBL_MIN, is_subnormal(v));
 }
 
 FpClass classify(float v) noexcept {
   if (std::isnan(v) || std::isinf(v)) return FpClass::AlmostInfinity;
-  return classify_magnitude(std::fabs(v), FLT_MAX, FLT_MIN,
-                            std::fpclassify(v) == FP_SUBNORMAL);
+  return classify_magnitude(std::fabs(v), FLT_MAX, FLT_MIN, is_subnormal(v));
 }
 
 namespace {

@@ -11,6 +11,7 @@
 // AlmostSubnormal are the paper's extreme-but-still-normal extensions.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -40,6 +41,19 @@ inline constexpr int kNumFpClasses = 5;
 /// All five classes, for uniform sampling and parameterized tests.
 [[nodiscard]] const char* to_string(FpClass c) noexcept;
 [[nodiscard]] FpClass fp_class_from_index(int i);
+
+/// Exact IEEE-754 subnormal test (zero exponent field, nonzero mantissa):
+/// the same answer as `std::fpclassify(v) == FP_SUBNORMAL` without the
+/// library call. Subtracting one from the magnitude bits wraps zero to the
+/// top, so one unsigned compare checks both fields.
+[[nodiscard]] inline bool is_subnormal(double v) noexcept {
+  const std::uint64_t magnitude = std::bit_cast<std::uint64_t>(v) & ~(1ULL << 63);
+  return magnitude - 1 < (1ULL << 52) - 1;
+}
+[[nodiscard]] inline bool is_subnormal(float v) noexcept {
+  const std::uint32_t magnitude = std::bit_cast<std::uint32_t>(v) & ~(1U << 31);
+  return magnitude - 1 < (1U << 23) - 1;
+}
 
 /// Classifies a finite double into the paper's five categories. The
 /// "almost" bands are defined as within `kAlmostBandDecades` decades of the

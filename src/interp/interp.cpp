@@ -1,8 +1,10 @@
 #include "interp/interp.hpp"
 
 #include <cmath>
+#include <span>
 #include <vector>
 
+#include "fp/fp_class.hpp"
 #include "support/error.hpp"
 
 namespace ompfuzz::interp {
@@ -18,6 +20,7 @@ using ast::MathFunc;
 using ast::Program;
 using ast::ReductionOp;
 using ast::Stmt;
+using ast::VarDecl;
 using ast::VarId;
 using ast::VarKind;
 
@@ -52,15 +55,19 @@ T apply_bin(BinOp op, T a, T b) noexcept {
   return a;
 }
 
+/// One tree-walking interpreter, instantiated twice: kObserved = true feeds
+/// the access and value traces (whichever of them is set), false compiles
+/// every observer hook away. execute() picks the instantiation once per run.
+template <bool kObserved>
 class Engine {
  public:
   Engine(const Program& program, const fp::InputSet& input,
          const InterpOptions& options)
-      : prog_(program), opt_(options) {
+      : prog_(program), decls_(program.vars()), opt_(options) {
     const std::size_t n = program.var_count();
     globals_.assign(n, Value{});
     arrays_.assign(n, {});
-    if (opt_.values != nullptr) opt_.values->reset(n);
+    if (kObserved && opt_.values != nullptr) opt_.values->reset(n);
     bind_inputs(input);
   }
 
@@ -96,7 +103,7 @@ class Engine {
                   "input arity does not match program signature");
     for (std::size_t k = 0; k < params.size(); ++k) {
       const VarId id = params[k];
-      const auto& decl = prog_.var(id);
+      const VarDecl& decl = decls_[id];
       const auto& v = input.values[k];
       switch (decl.kind) {
         case VarKind::IntScalar:
@@ -122,13 +129,13 @@ class Engine {
 
   // -- fp semantics -------------------------------------------------------------
   [[nodiscard]] double flush64(double v) const noexcept {
-    if (opt_.fp.flush_subnormals && v != 0.0 && std::fpclassify(v) == FP_SUBNORMAL) {
+    if (opt_.fp.flush_subnormals && fp::is_subnormal(v)) {
       return std::signbit(v) ? -0.0 : 0.0;
     }
     return v;
   }
   [[nodiscard]] float flush32(float v) const noexcept {
-    if (opt_.fp.flush_subnormals && v != 0.0f && std::fpclassify(v) == FP_SUBNORMAL) {
+    if (opt_.fp.flush_subnormals && fp::is_subnormal(v)) {
       return std::signbit(v) ? -0.0f : 0.0f;
     }
     return v;
@@ -147,8 +154,10 @@ class Engine {
   /// Feeds the observed-value trace: every integer value a scalar is bound
   /// to (fp bindings carry no range information and are skipped).
   void note_value(VarId id, const Value& v) {
-    if (opt_.values != nullptr && v.tag == Value::Tag::Int) {
-      opt_.values->scalars[id].note(v.i);
+    if constexpr (kObserved) {
+      if (opt_.values != nullptr && v.tag() == Value::Tag::Int) {
+        opt_.values->scalars[id].note(v.as_int());
+      }
     }
   }
 
@@ -156,10 +165,12 @@ class Engine {
   /// parallel regions or when tracing is off.
   void record_access(VarId id, std::int32_t elem, bool is_write,
                      bool is_atomic = false) {
-    if (opt_.trace == nullptr || frame_ == nullptr) return;
-    opt_.trace->accesses.push_back({trace_region_, trace_phase_, id, elem,
-                                    static_cast<std::uint16_t>(frame_->tid),
-                                    is_write, in_critical_, is_atomic});
+    if constexpr (kObserved) {
+      if (opt_.trace == nullptr || frame_ == nullptr) return;
+      opt_.trace->accesses.push_back({trace_region_, trace_phase_, id, elem,
+                                      static_cast<std::uint16_t>(frame_->tid),
+                                      is_write, in_critical_, is_atomic});
+    }
   }
 
   Value read_scalar(VarId id) {
@@ -194,7 +205,7 @@ class Engine {
 
   std::vector<double>& array_storage(VarId id) {
     auto& storage = arrays_[id];
-    OMPFUZZ_CHECK(!storage.empty(), "array never bound: " + prog_.var(id).name);
+    OMPFUZZ_CHECK(!storage.empty(), "array never bound: " + decls_[id].name);
     return storage;
   }
 
@@ -203,7 +214,9 @@ class Engine {
     const std::int64_t raw = v.as_int();
     // Observed before the bounds check: a subscript that is about to abort
     // the run is exactly the observation the soundness sweep must not miss.
-    if (opt_.values != nullptr) opt_.values->subscripts[array].note(raw);
+    if (kObserved && opt_.values != nullptr) {
+      opt_.values->subscripts[array].note(raw);
+    }
     if (raw < 0 || raw >= array_size) {
       throw InterpError("array subscript out of bounds: " + std::to_string(raw) +
                         " (size " + std::to_string(array_size) + ")");
@@ -221,7 +234,7 @@ class Engine {
       case Expr::Kind::VarRef:
         return read_scalar(e.var_id());
       case Expr::Kind::ArrayRef: {
-        const auto& decl = prog_.var(e.var_id());
+        const VarDecl& decl = decls_[e.var_id()];
         const std::size_t i = eval_index(e.index(), e.var_id(), decl.array_size);
         ++ev_.array_loads;
         record_access(e.var_id(), static_cast<std::int32_t>(i),
@@ -262,13 +275,14 @@ class Engine {
       const Value x = eval(e.lhs().lhs());
       const Value y = eval(e.lhs().rhs());
       const Value z = eval(e.rhs());
-      const bool all_float = x.tag == Value::Tag::F32 &&
-                             y.tag == Value::Tag::F32 &&
-                             z.tag == Value::Tag::F32;
+      const bool all_float = x.tag() == Value::Tag::F32 &&
+                             y.tag() == Value::Tag::F32 &&
+                             z.tag() == Value::Tag::F32;
       ++ev_.fp_mul;
       ++ev_.fp_add_sub;
       if (all_float) {
-        const float r = std::fmaf(x.f, y.f, op == BinOp::Add ? z.f : -z.f);
+        const float r = std::fmaf(x.f32(), y.f32(),
+                                  op == BinOp::Add ? z.f32() : -z.f32());
         return Value::make_f32(flush32(r));
       }
       const double r = std::fma(x.as_double(), y.as_double(),
@@ -285,9 +299,11 @@ class Engine {
       case BinOp::Mod: break;
     }
     // C++ usual arithmetic conversions: float only if both sides are float.
-    if (a.tag == Value::Tag::F32 && b.tag == Value::Tag::F32) {
-      const float r = flush32(apply_bin<float>(op, a.f, b.f));
-      if (is_subnormal(a.f) || is_subnormal(b.f) || is_subnormal(r)) {
+    if (a.tag() == Value::Tag::F32 && b.tag() == Value::Tag::F32) {
+      const float af = a.f32();
+      const float bf = b.f32();
+      const float r = flush32(apply_bin<float>(op, af, bf));
+      if (fp::is_subnormal(af) || fp::is_subnormal(bf) || fp::is_subnormal(r)) {
         ++ev_.subnormal_fp_ops;
       }
       return Value::make_f32(r);
@@ -295,17 +311,10 @@ class Engine {
     const double ad = a.as_double();
     const double bd = b.as_double();
     const double r = flush64(apply_bin<double>(op, ad, bd));
-    if (is_subnormal(ad) || is_subnormal(bd) || is_subnormal(r)) {
+    if (fp::is_subnormal(ad) || fp::is_subnormal(bd) || fp::is_subnormal(r)) {
       ++ev_.subnormal_fp_ops;
     }
     return Value::make_f64(r);
-  }
-
-  static bool is_subnormal(double v) noexcept {
-    return v != 0.0 && std::fpclassify(v) == FP_SUBNORMAL;
-  }
-  static bool is_subnormal(float v) noexcept {
-    return v != 0.0f && std::fpclassify(v) == FP_SUBNORMAL;
   }
 
   bool eval_bool(const ast::BoolExpr& b) {
@@ -339,16 +348,16 @@ class Engine {
   /// `target op= rhs` with C++ compound-assignment typing: the computation
   /// runs in float only when both the target and the rhs expression are
   /// float; otherwise in double with a narrowing store for float targets.
-  [[nodiscard]] float combine_f32(AssignOp op, float old_value, Value rhs) const noexcept {
-    if (rhs.tag == Value::Tag::F32) {
-      return flush32(combine<float>(op, old_value, rhs.f));
+  [[nodiscard]] float combine_f32(AssignOp op, float old_value, Value rhs) const {
+    if (rhs.tag() == Value::Tag::F32) {
+      return flush32(combine<float>(op, old_value, rhs.f32()));
     }
     return flush32(static_cast<float>(
         combine<double>(op, static_cast<double>(old_value), rhs.as_double())));
   }
 
   void exec_assign(const Stmt& s) {
-    const auto& decl = prog_.var(s.target.var);
+    const VarDecl& decl = decls_[s.target.var];
     if (s.target.is_array_element()) {
       const std::size_t i =
           eval_index(*s.target.index, s.target.var, decl.array_size);
@@ -377,7 +386,7 @@ class Engine {
     if (decl.width == FpWidth::F32) {
       const float old_value = s.assign_op == AssignOp::Assign
                                   ? 0.0f
-                                  : read_scalar(s.target.var).f;
+                                  : read_scalar(s.target.var).f32();
       write_scalar(s.target.var,
                    Value::make_f32(combine_f32(s.assign_op, old_value, rhs)));
     } else {
@@ -402,7 +411,7 @@ class Engine {
         exec_assign(s);
         break;
       case Stmt::Kind::Decl: {
-        const auto& decl = prog_.var(s.target.var);
+        const VarDecl& decl = decls_[s.target.var];
         const double init = eval(*s.value).as_double();
         const Value v = decl.width == FpWidth::F32
                             ? Value::make_f32(flush32(static_cast<float>(init)))
@@ -455,7 +464,7 @@ class Engine {
   }
 
   void exec_atomic(const Stmt& s) {
-    const auto& decl = prog_.var(s.target.var);
+    const VarDecl& decl = decls_[s.target.var];
     if (s.target.is_array_element()) {
       const std::size_t i =
           eval_index(*s.target.index, s.target.var, decl.array_size);
@@ -487,7 +496,8 @@ class Engine {
     const VarId id = s.target.var;
     const auto update = [&](const Value& old_value) {
       if (decl.width == FpWidth::F32) {
-        const float old_f = s.assign_op == AssignOp::Assign ? 0.0f : old_value.f;
+        const float old_f =
+            s.assign_op == AssignOp::Assign ? 0.0f : old_value.f32();
         return Value::make_f32(combine_f32(s.assign_op, old_f, rhs));
       }
       const double old_d =
@@ -562,7 +572,7 @@ class Engine {
       std::fill(frame.is_private.begin(), frame.is_private.end(), 0);
       for (VarId v : s.clauses.privates) {
         frame.is_private[v] = 1;
-        const auto& d = prog_.var(v);
+        const VarDecl& d = decls_[v];
         frame.locals[v] = d.kind == VarKind::IntScalar ? Value::make_int(0)
                                                        : Value::zero_of(d.width);
         note_value(v, frame.locals[v]);
@@ -622,6 +632,7 @@ class Engine {
   }
 
   const Program& prog_;
+  std::span<const VarDecl> decls_;  ///< prog_'s symbol table, indexed by VarId
   const InterpOptions& opt_;
   std::vector<Value> globals_;
   std::vector<std::vector<double>> arrays_;
@@ -648,8 +659,10 @@ IterRange static_chunk(std::int64_t n, int num_threads, int tid) noexcept {
 
 InterpResult execute(const ast::Program& program, const fp::InputSet& input,
                      const InterpOptions& options) {
-  Engine engine(program, input, options);
-  return engine.run();
+  if (options.trace != nullptr || options.values != nullptr) {
+    return Engine<true>(program, input, options).run();
+  }
+  return Engine<false>(program, input, options).run();
 }
 
 }  // namespace ompfuzz::interp

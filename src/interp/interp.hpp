@@ -19,6 +19,16 @@
 //
 // The interpreter also records the EventCounts stream and honors a step
 // budget so pathological trip-count combinations cannot stall a campaign.
+//
+// Hot-path shape (a sim campaign spends almost all its time here):
+//   * observers are resolved once per run: execute() picks an engine
+//     instantiation with the access/value trace hooks compiled in only when
+//     InterpOptions::trace or ::values is set, so an unobserved run makes
+//     no per-access null checks;
+//   * variable declarations are pre-resolved: the engine indexes the
+//     program's symbol table by VarId directly;
+//   * subnormal flushing and the subnormal_fp_ops count use the exact bit
+//     test fp::is_subnormal, not std::fpclassify.
 #pragma once
 
 #include <cstdint>

@@ -10,63 +10,79 @@
 #include <cstdint>
 
 #include "ast/types.hpp"
+#include "support/error.hpp"
 
 namespace ompfuzz::interp {
 
-struct Value {
+/// A 16-byte tag plus union. Invariant: the union member that is live is
+/// the one `tag()` names, because only the make_* factories write it, and
+/// every read goes through a tag switch (as_double/as_int) or the checked
+/// f32() accessor.
+class Value {
+ public:
   enum class Tag : std::uint8_t { Int, F32, F64 };
-
-  Tag tag = Tag::F64;
-  std::int64_t i = 0;
-  float f = 0.0f;
-  double d = 0.0;
 
   static Value make_int(std::int64_t v) noexcept {
     Value out;
-    out.tag = Tag::Int;
-    out.i = v;
+    out.tag_ = Tag::Int;
+    out.i_ = v;
     return out;
   }
   static Value make_f32(float v) noexcept {
     Value out;
-    out.tag = Tag::F32;
-    out.f = v;
+    out.tag_ = Tag::F32;
+    out.f_ = v;
     return out;
   }
   static Value make_f64(double v) noexcept {
     Value out;
-    out.tag = Tag::F64;
-    out.d = v;
+    out.d_ = v;
     return out;
   }
+
+  [[nodiscard]] Tag tag() const noexcept { return tag_; }
 
   /// Usual arithmetic conversion to double (ints convert exactly for the
   /// magnitudes the generator produces).
   [[nodiscard]] double as_double() const noexcept {
-    switch (tag) {
-      case Tag::Int: return static_cast<double>(i);
-      case Tag::F32: return static_cast<double>(f);
-      case Tag::F64: return d;
+    switch (tag_) {
+      case Tag::Int: return static_cast<double>(i_);
+      case Tag::F32: return static_cast<double>(f_);
+      case Tag::F64: return d_;
     }
     return 0.0;
   }
 
   [[nodiscard]] std::int64_t as_int() const noexcept {
-    switch (tag) {
-      case Tag::Int: return i;
-      case Tag::F32: return static_cast<std::int64_t>(f);
-      case Tag::F64: return static_cast<std::int64_t>(d);
+    switch (tag_) {
+      case Tag::Int: return i_;
+      case Tag::F32: return static_cast<std::int64_t>(f_);
+      case Tag::F64: return static_cast<std::int64_t>(d_);
     }
     return 0;
   }
 
-  [[nodiscard]] bool is_float() const noexcept { return tag == Tag::F32; }
+  /// The float payload; valid only for an F32 value (checked).
+  [[nodiscard]] float f32() const {
+    OMPFUZZ_CHECK(tag_ == Tag::F32, "f32 read of a non-float value");
+    return f_;
+  }
 
   /// Zero of the given variable width (the deterministic placeholder for
   /// never-initialized privates; generated programs never read one).
   static Value zero_of(ast::FpWidth w) noexcept {
     return w == ast::FpWidth::F32 ? make_f32(0.0f) : make_f64(0.0);
   }
+
+ private:
+  Tag tag_ = Tag::F64;
+  union {
+    std::int64_t i_;
+    float f_;
+    double d_ = 0.0;
+  };
 };
+
+static_assert(sizeof(Value) == 16);
 
 }  // namespace ompfuzz::interp

@@ -37,13 +37,27 @@ class InterpError : public Error {
   explicit InterpError(const std::string& what) : Error("interp: " + what) {}
 };
 
+namespace detail {
+
+/// The throw of OMPFUZZ_CHECK, kept out of line and cold so a check costs
+/// its caller one compare-and-branch and does not block inlining.
+[[noreturn, gnu::cold, gnu::noinline]] inline void check_failed(
+    const std::string& msg, const char* cond) {
+  throw Error("invariant failed: " + msg + " [" + cond + "]");
+}
+[[noreturn, gnu::cold, gnu::noinline]] inline void check_failed(
+    const char* msg, const char* cond) {
+  check_failed(std::string(msg), cond);
+}
+
+}  // namespace detail
+
 }  // namespace ompfuzz
 
 /// Checks an invariant that must hold unless the framework itself is buggy.
 #define OMPFUZZ_CHECK(cond, msg)                                    \
   do {                                                              \
-    if (!(cond)) {                                                  \
-      throw ::ompfuzz::Error(std::string("invariant failed: ") +    \
-                             (msg) + " [" #cond "]");               \
+    if (!(cond)) [[unlikely]] {                                     \
+      ::ompfuzz::detail::check_failed((msg), #cond);                \
     }                                                               \
   } while (false)

@@ -1,8 +1,10 @@
 // Unit tests for floating-point input generation (paper Section III-D).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cfloat>
 #include <cmath>
+#include <limits>
 
 #include "fp/fp_class.hpp"
 #include "fp/input_gen.hpp"
@@ -75,6 +77,45 @@ INSTANTIATE_TEST_SUITE_P(AllClasses, FpClassRoundTrip,
                          [](const auto& info) {
                            return to_string(fp_class_from_index(info.param));
                          });
+
+TEST(FpClass, IsSubnormalMatchesFpclassify) {
+  const auto check64 = [](double v) {
+    EXPECT_EQ(is_subnormal(v), std::fpclassify(v) == FP_SUBNORMAL)
+        << std::bit_cast<std::uint64_t>(v);
+  };
+  const auto check32 = [](float v) {
+    EXPECT_EQ(is_subnormal(v), std::fpclassify(v) == FP_SUBNORMAL)
+        << std::bit_cast<std::uint32_t>(v);
+  };
+  const double d_min_sub = std::numeric_limits<double>::denorm_min();
+  const double d_max_sub = std::nextafter(DBL_MIN, 0.0);
+  const float f_min_sub = std::numeric_limits<float>::denorm_min();
+  const float f_max_sub = std::nextafter(FLT_MIN, 0.0f);
+  for (const double sign : {1.0, -1.0}) {
+    for (const double v : {0.0, d_min_sub, d_max_sub, DBL_MIN, DBL_MAX,
+                           std::numeric_limits<double>::infinity()}) {
+      check64(sign * v);
+    }
+    for (const float v : {0.0f, f_min_sub, f_max_sub, FLT_MIN, FLT_MAX,
+                          std::numeric_limits<float>::infinity()}) {
+      check32(static_cast<float>(sign) * v);
+    }
+  }
+  EXPECT_TRUE(is_subnormal(d_min_sub) && is_subnormal(-d_max_sub));
+  EXPECT_TRUE(is_subnormal(f_min_sub) && is_subnormal(-f_max_sub));
+  check64(std::numeric_limits<double>::quiet_NaN());
+  check32(std::numeric_limits<float>::quiet_NaN());
+  RandomEngine rng(8);
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    check64(std::bit_cast<double>(bits));
+    check32(std::bit_cast<float>(static_cast<std::uint32_t>(bits)));
+    // Random bits are almost never subnormal: check each draw again with
+    // its exponent field cleared so the subnormal side is exercised too.
+    check64(std::bit_cast<double>(bits & 0x800F'FFFF'FFFF'FFFFULL));
+    check32(std::bit_cast<float>(static_cast<std::uint32_t>(bits) & 0x807F'FFFFU));
+  }
+}
 
 TEST(FpClass, ZeroDrawsBothSigns) {
   RandomEngine rng(5);

@@ -3,10 +3,15 @@
 // FP semantic knobs, event counting, and the step budget.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
+#include "harness/campaign.hpp"
+#include "harness/sim_executor.hpp"
 #include "interp/interp.hpp"
+#include "runtime/impl_profile.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace ompfuzz::interp {
 namespace {
@@ -636,6 +641,88 @@ TEST(Interp, BudgetInsideRegionLeavesValidState) {
   const auto r = t.run(opt);
   EXPECT_TRUE(r.over_budget);
   EXPECT_FALSE(std::isnan(r.comp));  // reads global comp, not a dangling frame
+}
+
+// ------------------------------------------------------------ golden -------
+
+/// The first `n` programs of the sim campaign stream (paper generator
+/// shape: num_threads(32), trip counts <= 100), two inputs each.
+std::vector<harness::TestCase> campaign_corpus(int n) {
+  CampaignConfig config;
+  config.num_programs = n;
+  config.inputs_per_program = 2;
+  config.generator.num_threads = 32;
+  config.generator.max_loop_trip_count = 100;
+  harness::SimExecutor exec;
+  const harness::Campaign campaign(config, exec);
+  std::vector<harness::TestCase> corpus;
+  for (int k = 0; k < n; ++k) corpus.push_back(campaign.make_test_case(k));
+  return corpus;
+}
+
+/// Every observable of a result: comp bits, each EventCounts field, steps
+/// and the budget flag.
+std::uint64_t result_digest(std::uint64_t h, const InterpResult& r) {
+  const EventCounts& e = r.events;
+  for (const std::uint64_t v :
+       {std::bit_cast<std::uint64_t>(r.comp), e.fp_add_sub, e.fp_mul, e.fp_div,
+        e.math_calls, e.int_ops, e.subnormal_fp_ops, e.scalar_loads,
+        e.scalar_stores, e.array_loads, e.array_stores, e.branches,
+        e.loop_iterations, e.parallel_regions, e.thread_starts,
+        e.omp_for_loops, e.barriers, e.critical_entries, e.critical_stmts,
+        e.reduction_combines, r.steps, std::uint64_t{r.over_budget},
+        std::uint64_t{r.ok}}) {
+    h = hash_combine(h, v);
+  }
+  return h;
+}
+
+InterpOptions campaign_options(const rt::OmpImplProfile& profile) {
+  InterpOptions opt;
+  opt.fp = profile.fp;
+  opt.num_threads_override = 32;
+  opt.max_steps = 250'000;
+  return opt;
+}
+
+TEST(Interp, CampaignStreamEventsArePinned) {
+  // Any change to the interpreter's arithmetic, event accounting or budget
+  // shows here: 24 campaign programs x 2 inputs x 3 fp semantics.
+  std::uint64_t h = 0;
+  int over_budget = 0;
+  for (const auto& test : campaign_corpus(24)) {
+    for (const auto& input : test.inputs) {
+      for (const auto& profile :
+           {rt::gcc_profile(), rt::clang_profile(), rt::intel_profile()}) {
+        const auto r = execute(test.program, input, campaign_options(profile));
+        over_budget += r.over_budget ? 1 : 0;
+        h = result_digest(h, r);
+      }
+    }
+  }
+  EXPECT_GT(over_budget, 0);  // the budget path is part of the pin
+  EXPECT_EQ(h, 0x18f4f8d42ab7d17fULL);
+}
+
+TEST(Interp, ObservedRunEqualsUnobserved) {
+  // The observed (trace/values) and unobserved engines must agree exactly.
+  std::size_t accesses = 0;
+  for (const auto& test : campaign_corpus(12)) {
+    for (const auto& profile : {rt::gcc_profile(), rt::intel_profile()}) {
+      const InterpOptions plain = campaign_options(profile);
+      AccessTrace trace;
+      ValueTrace values;
+      InterpOptions observed = plain;
+      observed.trace = &trace;
+      observed.values = &values;
+      const auto a = execute(test.program, test.inputs[0], plain);
+      const auto b = execute(test.program, test.inputs[0], observed);
+      EXPECT_EQ(result_digest(0, a), result_digest(0, b)) << test.program.name();
+      EXPECT_EQ(values.scalars.size(), test.program.var_count());
+      accesses += trace.accesses.size();
+    }
+  }
+  EXPECT_GT(accesses, 0u);
 }
 
 // ------------------------------------------------------------ scheduling ---
