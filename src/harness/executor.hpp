@@ -43,10 +43,11 @@ class Executor {
   /// the result vector holds, for each index in `input_indices` in order, one
   /// RunResult per name in `impls` in order (input-major). Semantically
   /// equivalent to looping run() — which is exactly the default
-  /// implementation — but a backend that can overlap work (the subprocess
-  /// pipeline keeps dozens of compiler/test children in flight) overrides it
-  /// to see the whole batch at once. The campaign engine calls this once per
-  /// program shard.
+  /// implementation — but a backend that can overlap or share work overrides
+  /// it to see the whole batch at once: the subprocess pipeline keeps dozens
+  /// of compiler/test children in flight, and the sim backend interprets
+  /// each input once per distinct FpSemantics. The campaign engine calls
+  /// this once per program shard.
   [[nodiscard]] virtual std::vector<core::RunResult> run_batch(
       const TestCase& test, const std::vector<std::size_t>& input_indices,
       const std::vector<std::string>& impls) {

@@ -1,14 +1,20 @@
 // Simulated execution backend: interpreter + vendor runtime profiles.
 //
-// For each run, the program is interpreted under the implementation's
+// A run is two steps. Interpretation executes the program under one
 // floating-point semantics (so control flow may legitimately diverge between
-// implementations), the event stream is priced by the implementation's cost
-// model, and the fault model decides rare crash/hang outcomes. Every
-// decision derives from a hash of (program fingerprint, input, impl), making
-// whole campaigns bit-reproducible.
+// implementations); it depends only on (program, input, FpSemantics, team
+// size, step budget). Pricing turns the resulting event stream into a time
+// with the implementation's cost model and lets its fault model decide rare
+// crash/hang outcomes. run_batch interprets each input once per distinct
+// FpSemantics among the requested implementations and prices that one
+// result per implementation, so profiles that share semantics (libomp and
+// libiomp5) share the interpreter's work. Every decision derives from a hash
+// of (program fingerprint, input, impl), making whole campaigns
+// bit-reproducible.
 #pragma once
 
 #include <optional>
+#include <string_view>
 
 #include "harness/executor.hpp"
 #include "interp/interp.hpp"
@@ -41,17 +47,21 @@ class SimExecutor final : public Executor {
 
   [[nodiscard]] core::RunResult run(const TestCase& test, std::size_t input_index,
                                     const std::string& impl_name) override;
+  /// Equal to looping run(), but interprets each input once per distinct
+  /// FpSemantics among `impls` and prices that result for every member.
+  [[nodiscard]] std::vector<core::RunResult> run_batch(
+      const TestCase& test, const std::vector<std::size_t>& input_indices,
+      const std::vector<std::string>& impls) override;
   [[nodiscard]] std::vector<std::string> implementations() const override;
 
-  /// Backend kind + profile name + every SimExecutorOptions knob. Assumes a
-  /// profile name denotes one fixed parameter set (true for the built-in
-  /// vendor profiles); campaigns that hand-perturb profile fields (the
-  /// ablation benches) should not share a persistent result store.
+  /// Backend kind + profile name + every SimExecutorOptions knob + one hex
+  /// digest of every profile parameter (rt::parameter_digest).
   [[nodiscard]] std::string impl_identity(
       const std::string& impl_name) const override;
 
   /// Stateless run path: interpretation, pricing, and fault decisions touch
-  /// only immutable members and locals.
+  /// only immutable members and locals (the interpretation a batch shares is
+  /// a local of run_batch).
   [[nodiscard]] bool thread_safe() const noexcept override { return true; }
 
   /// Full observability for the perf-analysis benches (Tables II/III).
@@ -63,6 +73,18 @@ class SimExecutor final : public Executor {
   [[nodiscard]] const SimExecutorOptions& options() const noexcept { return options_; }
 
  private:
+  /// Runs the interpreter once and counts it in "sim.interpretations";
+  /// `impls` (the implementations sharing the result) only labels the trace
+  /// span.
+  [[nodiscard]] interp::InterpResult interpret(const TestCase& test,
+                                               std::size_t input_index,
+                                               const interp::FpSemantics& fp,
+                                               std::string_view impls) const;
+  /// Cost, fault and counter models of `prof` applied to `ir`.
+  [[nodiscard]] DetailedRun price(const TestCase& test, std::size_t input_index,
+                                  const rt::OmpImplProfile& prof,
+                                  const interp::InterpResult& ir) const;
+
   std::vector<rt::OmpImplProfile> profiles_;
   SimExecutorOptions options_;
 };

@@ -26,6 +26,11 @@ struct FpSemantics {
   /// value of reduction tests by rounding, occasionally by a lot when
   /// contributions cancel; the differ then reports output divergence.
   bool reassociate_reductions = false;
+
+  /// Two implementations with equal semantics interpret a program
+  /// identically, so SimExecutor::run_batch shares one interpretation
+  /// between them. Defaulted: a field added here joins that key by itself.
+  bool operator==(const FpSemantics&) const = default;
 };
 
 /// Dynamic event counts of one test execution.

@@ -1,6 +1,10 @@
 #include "runtime/impl_profile.hpp"
 
+#include <bit>
+#include <type_traits>
+
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "support/string_utils.hpp"
 
 namespace ompfuzz::rt {
@@ -115,6 +119,43 @@ OmpImplProfile intel_profile() {
   p.fault.hang_probability = 0.010;
   p.fault.hang_min_threads = 16;
   return p;
+}
+
+std::uint64_t parameter_digest(const OmpImplProfile& p) {
+  std::uint64_t h = 0;
+  const auto mix = [&h](const auto&... fields) {
+    const auto bits = [](auto v) -> std::uint64_t {
+      if constexpr (std::is_floating_point_v<decltype(v)>) {
+        return std::bit_cast<std::uint64_t>(static_cast<double>(v));
+      } else {
+        return static_cast<std::uint64_t>(v);  // bool, int, enum
+      }
+    };
+    ((h = hash_combine(h, bits(fields))), ...);
+  };
+  // Structured bindings must name every member, so a parameter added to any
+  // of these structs fails to compile here until it joins the digest.
+  const auto& [flush, fma, reassociate] = p.fp;
+  mix(flush, fma, reassociate);
+  const auto& [fp_add, fp_mul, fp_div, math_call, subnormal_assist, int_op,
+               scalar_load, scalar_store, array_load, array_store, branch,
+               region_launch, thread_start, barrier_arrival, reduction_combine,
+               relaunch_multiplier, relaunch_threshold, vectorization_factor,
+               mixed_width_vector_penalty, noise_fraction, time_scale] = p.cost;
+  mix(fp_add, fp_mul, fp_div, math_call, subnormal_assist, int_op, scalar_load,
+      scalar_store, array_load, array_store, branch, region_launch, thread_start,
+      barrier_arrival, reduction_combine, relaunch_multiplier, relaunch_threshold,
+      vectorization_factor, mixed_width_vector_penalty, noise_fraction, time_scale);
+  const auto& [active_fraction, spin_instr_per_ns, cs_per_thread_launch,
+               base_ctx_switches, pages_per_region, base_page_faults,
+               migrations_per_thread, branch_miss_rate] = p.wait;
+  mix(active_fraction, spin_instr_per_ns, cs_per_thread_launch, base_ctx_switches,
+      pages_per_region, base_page_faults, migrations_per_thread, branch_miss_rate);
+  const auto& [hang_probability, hang_min_threads, crash_probability,
+               crash_min_nesting] = p.fault;
+  mix(hang_probability, hang_min_threads, crash_probability, crash_min_nesting);
+  mix(p.critical_lock);
+  return h;
 }
 
 OmpImplProfile profile_by_name(const std::string& name) {

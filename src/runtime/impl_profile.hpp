@@ -113,6 +113,13 @@ struct OmpImplProfile {
 [[nodiscard]] OmpImplProfile clang_profile();
 [[nodiscard]] OmpImplProfile intel_profile();
 
+/// 64-bit digest of every simulation parameter of `p`: fp semantics, cost
+/// model, wait policy, fault model and lock algorithm (not the descriptive
+/// name/compiler/runtime strings). Equal profiles digest equally; changing
+/// any one parameter changes the digest. SimExecutor's impl_identity carries
+/// it, so a result store never serves a perturbed profile another's results.
+[[nodiscard]] std::uint64_t parameter_digest(const OmpImplProfile& p);
+
 /// Lookup by name ("gcc"/"libgomp", "clang"/"libomp", "intel"/"libiomp5").
 /// Throws Error for unknown names.
 [[nodiscard]] OmpImplProfile profile_by_name(const std::string& name);

@@ -258,41 +258,68 @@ TEST(AsyncProcessPool, TimeoutDoesNotStallOtherChildren) {
 // --------------------------------------------------- exclusive (quiet) -----
 
 TEST(AsyncProcessPool, ExclusiveJobsRunAlone) {
+  // Queue: n0 n1 n2 x0 n3 n4 n5 x1. Each exclusive job must wait for the
+  // normal jobs ahead of it to drain and run alone; the normal jobs between
+  // two exclusive ones are admitted together.
   const std::string dir = temp_dir();
-  const auto interval_script = [&](const std::string& tag) {
-    const std::string path = dir + "/" + tag + ".sh";
-    write_script(path, "#!/bin/sh\n"
-                       "s=$(date +%s%N)\n"
-                       "sleep 0.12\n"
-                       "e=$(date +%s%N)\n"
-                       "echo \"$s $e\" > " + dir + "/" + tag + ".ivl\n");
-    return path;
+  const std::vector<std::vector<std::string>> normal_groups = {
+      {"n0", "n1", "n2"}, {"n3", "n4", "n5"}};
+  const std::vector<std::string> exclusive_tags = {"x0", "x1"};
+  const auto script_path = [&](const std::string& tag) {
+    return dir + "/" + tag + ".sh";
   };
+  // Each script records its [start, end] wall-clock interval. A normal job
+  // does not sleep for a window but meets the rest of its group: it marks
+  // its arrival, then waits (up to ~5 s, then fails) until every member has
+  // arrived. So a passing job proves its whole group ran at once, however
+  // loaded the machine is.
+  const auto write_interval_script = [&](const std::string& tag,
+                                         const std::string& middle) {
+    write_script(script_path(tag),
+                 "#!/bin/sh\n"
+                 "s=$(date +%s%N)\n" + middle +
+                 "e=$(date +%s%N)\n"
+                 "echo \"$s $e\" > " + dir + "/" + tag + ".ivl\n");
+  };
+  for (const auto& group : normal_groups) {
+    std::string all_arrived;
+    for (const auto& peer : group) {
+      if (!all_arrived.empty()) all_arrived += " && ";
+      all_arrived += "[ -e " + dir + "/" + peer + ".arrived ]";
+    }
+    for (const auto& tag : group) {
+      write_interval_script(tag, "touch " + dir + "/" + tag + ".arrived\n"
+                                 "i=0\n"
+                                 "until " + all_arrived + "; do\n"
+                                 "  i=$((i+1)); [ $i -gt 500 ] && exit 3\n"
+                                 "  sleep 0.01\n"
+                                 "done\n");
+    }
+  }
+  for (const auto& tag : exclusive_tags) write_interval_script(tag, "sleep 0.12\n");
 
+  // Every script is written before the first submit: a child forked while
+  // the test still held a script open for writing would inherit that fd,
+  // and exec'ing the script would then fail with ETXTBSY (exit 127) — the
+  // load-dependent flake this ordering removes.
   AsyncProcessPool pool(8);
   std::vector<std::future<ProcessResult>> futures;
-  std::vector<std::string> normal_tags, exclusive_tags;
-  for (int i = 0; i < 3; ++i) {
-    normal_tags.push_back("n" + std::to_string(i));
-    futures.push_back(
-        pool.submit({{interval_script(normal_tags.back())}, 10'000, false}));
+  for (std::size_t g = 0; g < normal_groups.size(); ++g) {
+    for (const auto& tag : normal_groups[g]) {
+      futures.push_back(pool.submit({{script_path(tag)}, 10'000, false}));
+    }
+    futures.push_back(pool.submit({{script_path(exclusive_tags[g])}, 10'000, true}));
   }
-  exclusive_tags.push_back("x0");
-  futures.push_back(pool.submit({{interval_script("x0")}, 10'000, true}));
-  for (int i = 3; i < 6; ++i) {
-    normal_tags.push_back("n" + std::to_string(i));
-    futures.push_back(
-        pool.submit({{interval_script(normal_tags.back())}, 10'000, false}));
+  for (auto& f : futures) {
+    EXPECT_EQ(f.get().exit_code, 0) << "exit 3: a normal job's group never met";
   }
-  exclusive_tags.push_back("x1");
-  futures.push_back(pool.submit({{interval_script("x1")}, 10'000, true}));
-  for (auto& f : futures) EXPECT_EQ(f.get().exit_code, 0);
 
   std::vector<Interval> all;
   std::vector<Interval> exclusive;
-  for (const auto& tag : normal_tags) {
-    all.push_back(read_interval(dir + "/" + tag + ".ivl"));
+  for (const auto& group : normal_groups) {
+    for (const auto& tag : group) all.push_back(read_interval(dir + "/" + tag + ".ivl"));
   }
+  const std::size_t normal_count = all.size();
   for (const auto& tag : exclusive_tags) {
     exclusive.push_back(read_interval(dir + "/" + tag + ".ivl"));
     all.push_back(exclusive.back());
@@ -309,14 +336,16 @@ TEST(AsyncProcessPool, ExclusiveJobsRunAlone) {
     EXPECT_EQ(overlapping, 0);
   }
   // ... while the pool did overlap normal jobs (otherwise this test would
-  // also pass on a fully serialized pool and prove nothing).
+  // also pass on a fully serialized pool and prove nothing): every interval
+  // of a group contains the moment its last member arrived, so the 3 pairs
+  // within each group overlap, and no pair across the exclusive job does.
   int normal_overlaps = 0;
-  for (std::size_t i = 0; i < normal_tags.size(); ++i) {
-    for (std::size_t j = i + 1; j < normal_tags.size(); ++j) {
+  for (std::size_t i = 0; i < normal_count; ++i) {
+    for (std::size_t j = i + 1; j < normal_count; ++j) {
       normal_overlaps += overlaps(all[i], all[j]) ? 1 : 0;
     }
   }
-  EXPECT_GT(normal_overlaps, 0) << "pool never ran two children at once";
+  EXPECT_EQ(normal_overlaps, 6) << "pool never ran a group's children at once";
 }
 
 // ------------------------------------------------------------- resolver ----

@@ -24,6 +24,7 @@
 #include "support/config.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry.hpp"
 
 namespace ompfuzz::harness {
 namespace {
@@ -206,6 +207,130 @@ TEST(RunBatch, SubprocessCampaignMatchesPerRunExecution) {
         EXPECT_EQ(run.time_us, 2000.0);
       }
     }
+  }
+}
+
+// ------------------------------------------- sim run_batch sharing --------
+
+/// The first `n` programs of the sim campaign stream in the paper's shape
+/// (team of 32, trip counts <= 100), two inputs each.
+std::vector<TestCase> sim_stream(int n) {
+  CampaignConfig config;
+  config.num_programs = n;
+  config.inputs_per_program = 2;
+  config.generator.num_threads = 32;
+  config.generator.max_loop_trip_count = 100;
+  SimExecutor exec;
+  const Campaign campaign(config, exec);
+  std::vector<TestCase> tests;
+  for (int k = 0; k < n; ++k) tests.push_back(campaign.make_test_case(k));
+  return tests;
+}
+
+SimExecutorOptions sim_stream_options() {
+  SimExecutorOptions opt;
+  opt.max_interp_steps = 250'000;  // the sim-interp benchmark's budget
+  return opt;
+}
+
+std::uint64_t sim_interpretations() {
+  return telemetry::Registry::global().counter("sim.interpretations").value();
+}
+
+/// run_batch over both inputs equals looping run_detailed, field by field
+/// and bit for bit. Returns the batch for further checks.
+std::vector<core::RunResult> expect_batch_matches_loop(
+    SimExecutor& exec, const TestCase& test, const std::vector<std::string>& impls) {
+  const std::vector<std::size_t> inputs = {0, 1};
+  const auto batch = exec.run_batch(test, inputs, impls);
+  EXPECT_EQ(batch.size(), inputs.size() * impls.size());
+  if (batch.size() != inputs.size() * impls.size()) return batch;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    for (std::size_t j = 0; j < impls.size(); ++j) {
+      const core::RunResult looped = exec.run_detailed(test, inputs[i], impls[j]).result;
+      const core::RunResult& batched = batch[i * impls.size() + j];
+      EXPECT_EQ(batched.impl, looped.impl);
+      EXPECT_EQ(batched.status, looped.status) << looped.impl;
+      expect_bits_eq(batched.time_us, looped.time_us);
+      expect_bits_eq(batched.output, looped.output);
+    }
+  }
+  return batch;
+}
+
+TEST(SimRunBatch, MatchesLoopedRunDetailedForAnyImplementationOrder) {
+  SimExecutor exec(sim_stream_options());
+  const std::vector<std::vector<std::string>> orders = {
+      {"gcc", "clang", "intel"},  // the default profiles
+      {"intel", "clang", "gcc"},  // reversed
+      {"intel", "gcc"},           // non-contiguous subsets
+      {"clang"},
+      {"gcc", "intel", "gcc"},    // a repeated name
+  };
+  for (const auto& test : sim_stream(8)) {
+    for (const auto& impls : orders) (void)expect_batch_matches_loop(exec, test, impls);
+  }
+}
+
+TEST(SimRunBatch, SharedSemanticsArePricedPerImplementation) {
+  // "clang2" interprets exactly like clang (equal FpSemantics) but launches
+  // regions at 3x the cost and crashes on every deep libm-calling program.
+  rt::OmpImplProfile clang2 = rt::clang_profile();
+  clang2.name = "clang2";
+  clang2.cost.ns_region_launch *= 3.0;
+  clang2.fault.crash_probability = 1.0;
+  clang2.fault.crash_min_nesting = 0;
+  ASSERT_EQ(clang2.fp, rt::clang_profile().fp);
+  SimExecutor exec({rt::gcc_profile(), rt::clang_profile(), rt::intel_profile(), clang2},
+                   sim_stream_options());
+  const std::vector<std::string> impls = {"clang", "gcc", "clang2", "intel"};
+
+  int time_differs = 0;
+  int only_clang2_crashes = 0;
+  for (const auto& test : sim_stream(8)) {
+    const std::uint64_t before = sim_interpretations();
+    const auto batch = expect_batch_matches_loop(exec, test, impls);
+    // The batch interprets gcc alone and {clang, clang2, intel} once, per
+    // input; the looped reference then interprets every (input, impl).
+    EXPECT_EQ(sim_interpretations() - before, 2u * 2u + 2u * impls.size());
+    for (std::size_t i = 0; i + impls.size() <= batch.size(); i += impls.size()) {
+      const core::RunResult& clang = batch[i];
+      const core::RunResult& other = batch[i + 2];
+      if (clang.status == core::RunStatus::Ok && other.status == core::RunStatus::Ok &&
+          clang.time_us != other.time_us) {
+        ++time_differs;
+      }
+      if (clang.status == core::RunStatus::Ok && other.status == core::RunStatus::Crash) {
+        ++only_clang2_crashes;
+      }
+    }
+  }
+  EXPECT_GT(time_differs, 0) << "cost model not applied per implementation";
+  EXPECT_GT(only_clang2_crashes, 0) << "fault model not applied per implementation";
+}
+
+TEST(SimRunBatch, StepBudgetSkipsMatchLoopedRuns) {
+  SimExecutorOptions opt = sim_stream_options();
+  opt.max_interp_steps = 20'000;
+  SimExecutor exec(opt);
+  int skipped = 0;
+  int completed = 0;
+  for (const auto& test : sim_stream(8)) {
+    for (const auto& r : expect_batch_matches_loop(exec, test, {"gcc", "clang", "intel"})) {
+      (r.status == core::RunStatus::Skipped ? skipped : completed) += 1;
+    }
+  }
+  EXPECT_GT(skipped, 0) << "budget too large to exercise the Skipped path";
+  EXPECT_GT(completed, 0) << "budget too small to exercise pricing";
+}
+
+TEST(SimRunBatch, DefaultProfilesInterpretTwicePerProgramInput) {
+  // libomp and libiomp5 share FpSemantics; libgomp differs.
+  SimExecutor exec(sim_stream_options());
+  for (const auto& test : sim_stream(4)) {
+    const std::uint64_t before = sim_interpretations();
+    (void)exec.run_batch(test, {0, 1}, exec.implementations());
+    EXPECT_EQ(sim_interpretations() - before, 2u * 2u);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include "analysis/race_analyzer.hpp"
 #include "harness/campaign.hpp"
@@ -95,6 +96,78 @@ TEST(SimExecutor, BudgetProducesSkipped) {
   const TestCase test = campaign.make_test_case(0);
   const auto r = exec.run(test, 0, "gcc");
   EXPECT_EQ(r.status, core::RunStatus::Skipped);
+}
+
+TEST(SimExecutor, IdentityCoversEveryProfileParameter) {
+  // One perturbation per simulation parameter of a profile.
+  using P = rt::OmpImplProfile;
+  const std::vector<std::function<void(P&)>> perturbations = {
+      [](P& p) { p.fp.flush_subnormals = !p.fp.flush_subnormals; },
+      [](P& p) { p.fp.contract_fma = !p.fp.contract_fma; },
+      [](P& p) { p.fp.reassociate_reductions = !p.fp.reassociate_reductions; },
+      [](P& p) { p.cost.ns_fp_add += 0.25; },
+      [](P& p) { p.cost.ns_fp_mul += 0.25; },
+      [](P& p) { p.cost.ns_fp_div += 0.25; },
+      [](P& p) { p.cost.ns_math_call += 0.25; },
+      [](P& p) { p.cost.ns_subnormal_assist += 0.25; },
+      [](P& p) { p.cost.ns_int_op += 0.25; },
+      [](P& p) { p.cost.ns_scalar_load += 0.25; },
+      [](P& p) { p.cost.ns_scalar_store += 0.25; },
+      [](P& p) { p.cost.ns_array_load += 0.25; },
+      [](P& p) { p.cost.ns_array_store += 0.25; },
+      [](P& p) { p.cost.ns_branch += 0.25; },
+      [](P& p) { p.cost.ns_region_launch += 0.25; },
+      [](P& p) { p.cost.ns_thread_start += 0.25; },
+      [](P& p) { p.cost.ns_barrier_arrival += 0.25; },
+      [](P& p) { p.cost.ns_reduction_combine += 0.25; },
+      [](P& p) { p.cost.relaunch_multiplier += 0.25; },
+      [](P& p) { p.cost.relaunch_threshold += 1; },
+      [](P& p) { p.cost.vectorization_factor += 0.25; },
+      [](P& p) { p.cost.mixed_width_vector_penalty += 0.25; },
+      [](P& p) { p.cost.noise_fraction += 0.25; },
+      [](P& p) { p.cost.time_scale += 0.25; },
+      [](P& p) { p.wait.active_fraction += 0.25; },
+      [](P& p) { p.wait.spin_instr_per_ns += 0.25; },
+      [](P& p) { p.wait.cs_per_thread_launch += 0.25; },
+      [](P& p) { p.wait.base_ctx_switches += 0.25; },
+      [](P& p) { p.wait.pages_per_region += 0.25; },
+      [](P& p) { p.wait.base_page_faults += 0.25; },
+      [](P& p) { p.wait.migrations_per_thread += 0.25; },
+      [](P& p) { p.wait.branch_miss_rate += 0.25; },
+      [](P& p) { p.fault.hang_probability += 0.25; },
+      [](P& p) { p.fault.hang_min_threads += 1; },
+      [](P& p) { p.fault.crash_probability += 0.25; },
+      [](P& p) { p.fault.crash_min_nesting += 1; },
+      [](P& p) {
+        p.critical_lock = p.critical_lock == rt::LockAlgorithm::Ticket
+                              ? rt::LockAlgorithm::Queuing
+                              : rt::LockAlgorithm::Ticket;
+      },
+  };
+  for (const P& base : {rt::gcc_profile(), rt::clang_profile(), rt::intel_profile()}) {
+    const std::string identity =
+        SimExecutor({base}, tiny_options()).impl_identity(base.name);
+    for (std::size_t k = 0; k < perturbations.size(); ++k) {
+      P changed = base;
+      perturbations[k](changed);
+      EXPECT_NE(SimExecutor({changed}, tiny_options()).impl_identity(base.name),
+                identity)
+          << base.name << " perturbation " << k;
+    }
+  }
+}
+
+TEST(SimExecutor, EqualProfilesShareIdentity) {
+  const SimExecutor a(tiny_options());
+  const SimExecutor b({rt::gcc_profile(), rt::clang_profile(), rt::intel_profile()},
+                      tiny_options());
+  for (const auto& name : a.implementations()) {
+    EXPECT_EQ(a.impl_identity(name), b.impl_identity(name)) << name;
+  }
+  // The digest is one fixed-width field, distinct per built-in profile.
+  EXPECT_NE(a.impl_identity("clang").find(";params="), std::string::npos);
+  EXPECT_NE(rt::parameter_digest(rt::clang_profile()),
+            rt::parameter_digest(rt::intel_profile()));
 }
 
 // ------------------------------------------------------------ campaign -----

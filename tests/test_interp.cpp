@@ -602,6 +602,25 @@ TEST(Interp, ReassociatedReductionDiffersFromSequential) {
   EXPECT_NEAR(reassociated, 0.7, 1e-15);
 }
 
+TEST(FpSemantics, AnyFieldChangeBreaksEquality) {
+  // SimExecutor shares one interpretation between implementations whose
+  // semantics compare equal, so equality must see every field.
+  const FpSemantics base;
+  EXPECT_EQ(base, FpSemantics{});
+  FpSemantics flush = base;
+  flush.flush_subnormals = true;
+  FpSemantics fma = base;
+  fma.contract_fma = true;
+  FpSemantics reassociate = base;
+  reassociate.reassociate_reductions = true;
+  for (const FpSemantics& changed : {flush, fma, reassociate}) {
+    EXPECT_NE(changed, base);
+  }
+  EXPECT_NE(flush, fma);
+  EXPECT_EQ(rt::clang_profile().fp, rt::intel_profile().fp);
+  EXPECT_NE(rt::gcc_profile().fp, rt::clang_profile().fp);
+}
+
 // ------------------------------------------------------------ budget -------
 
 TEST(Interp, StepBudgetStopsExecution) {

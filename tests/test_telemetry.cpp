@@ -297,6 +297,37 @@ TEST(TelemetryTracer, TraceWellFormedUnderFullFaultInjection) {
   std::remove(path.c_str());
 }
 
+// A sim batch shows its shared work: one sim_interpret span per distinct
+// FpSemantics naming the implementations that share it, and one sim_run
+// span per priced (input, impl).
+TEST(TelemetryTracer, SimBatchTracesSharedInterpretation) {
+  CampaignConfig cfg;
+  cfg.generator.max_loop_trip_count = 40;  // keep interpretation fast
+  cfg.num_programs = 1;
+  cfg.inputs_per_program = 1;
+  harness::SimExecutor exec;
+  const harness::TestCase test = harness::Campaign(cfg, exec).make_test_case(0);
+  const std::string path = temp_trace_path("ompfuzz_test_trace_sim.json");
+  Tracer::instance().start(path);
+  (void)exec.run_batch(test, {0}, exec.implementations());
+  ASSERT_TRUE(Tracer::instance().stop());
+
+  const std::string trace = slurp(path);
+  const auto count = [&](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = trace.find(needle); at != std::string::npos;
+         at = trace.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("\"name\":\"sim_interpret\""), 2u);
+  EXPECT_EQ(count("\"name\":\"sim_run\""), 3u);
+  EXPECT_EQ(count("\"impls\":\"gcc\""), 1u);
+  EXPECT_EQ(count("\"impls\":\"clang,intel\""), 1u);
+  std::remove(path.c_str());
+}
+
 TEST(TelemetryTracer, StopWithoutStartIsNoop) {
   EXPECT_TRUE(Tracer::instance().stop());
 }
