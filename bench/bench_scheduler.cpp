@@ -1,20 +1,16 @@
-// Work-stealing speedup of the multi-backend shard scheduler on a
-// skewed-cost workload.
+// Campaign worker-pool speedup on a skewed-cost workload.
 //
 // The workload models a hang-heavy campaign: one program shard costs 50x
-// the others (a child parked in a hang timeout), and every shard of a
-// campaign sits in one scheduler batch (batching amortizes dispatch
-// overhead when num_programs >> threads — and is exactly the setting where
-// a static split strands a batch behind its most expensive program). With
-// stealing off, the worker that claims the batch executes all of it
-// serially; with stealing on, the idle workers drain the light shards while
-// the owner sits in the heavy one, so wall-clock collapses towards the cost
-// of the heavy shard alone.
+// the others (a child parked in a hang timeout). With one worker the
+// campaign runs every unit serially, the heavy one included; with four, the
+// other workers drain the light units while one sits in the heavy unit, so
+// wall-clock collapses towards the cost of the heavy unit alone.
 //
 // Two properties are verified and recorded in BENCH_scheduler.json:
-//   * >= 2x wall-clock improvement with stealing on vs off (the gate);
-//   * the merged CampaignResult is bit-identical across steal schedules and
-//     backend splits — scheduling must never touch results.
+//   * >= 2x wall-clock improvement with threads = 4 vs threads = 1 (the
+//     gate);
+//   * the merged CampaignResult is bit-identical across thread counts and
+//     backend splits — dispatch must never touch results.
 //
 //   $ ./bench_scheduler [num_programs] [light_ms]
 #include <chrono>
@@ -85,29 +81,23 @@ int main(int argc, char** argv) {
   cfg.generator.max_loop_trip_count = 20;
   cfg.min_time_us = 0;
   cfg.seed = 0xBEEF;
-  cfg.threads = 4;
 
-  std::printf("shard scheduler on a skewed-cost workload\n");
-  std::printf("  %d programs, one 50x shard (%d ms vs %d ms), "
-              "4 workers, batch_size = %d (one batch)\n\n",
-              num_programs, heavy_ms, light_ms, num_programs);
-  std::printf("  %-8s %10s %9s %14s\n", "steal", "wall_ms", "speedup",
-              "stolen_units");
+  std::printf("campaign worker pool on a skewed-cost workload\n");
+  std::printf("  %d programs, one 50x shard (%d ms vs %d ms)\n\n",
+              num_programs, heavy_ms, light_ms);
+  std::printf("  %-8s %10s %9s\n", "threads", "wall_ms", "speedup");
 
   struct Row {
-    bool steal = false;
+    int threads = 1;
     double wall_ms = 0.0;
-    std::uint64_t stolen = 0;
   };
   std::vector<Row> rows;
   std::vector<std::string> reports;
 
-  for (const bool steal : {false, true}) {
+  for (const int threads : {1, 4}) {
+    cfg.threads = threads;
     SleepExecutor exec("stub", heavy_ms, light_ms);
-    SchedulerConfig sched;
-    sched.batch_size = num_programs;
-    sched.steal = steal;
-    harness::Campaign campaign(cfg, {{&exec, "sleepy"}}, sched);
+    harness::Campaign campaign(cfg, {{&exec, "sleepy"}});
 
     const auto start = std::chrono::steady_clock::now();
     const harness::CampaignResult result = campaign.run();
@@ -116,32 +106,22 @@ int main(int argc, char** argv) {
             std::chrono::steady_clock::now() - start)
             .count();
     reports.push_back(harness::to_json(result));
-
-    Row row;
-    row.steal = steal;
-    row.wall_ms = wall_ms;
-    row.stolen = campaign.scheduler_stats().stolen_units;
-    rows.push_back(row);
-    std::printf("  %-8s %10.1f %8.2fx %14llu\n", steal ? "on" : "off",
-                row.wall_ms, rows.front().wall_ms / row.wall_ms,
-                static_cast<unsigned long long>(row.stolen));
+    rows.push_back({threads, wall_ms});
+    std::printf("  %-8d %10.1f %8.2fx\n", threads, wall_ms,
+                rows.front().wall_ms / wall_ms);
   }
 
   // A two-backend split of the same workload must merge to the same report
-  // (modulo the impl column this stub campaign has only one of — so give
-  // each backend its own stub impl and compare the split against itself
-  // with different batch sizes and steal schedules).
+  // at every thread count (the split has one more impl column than the
+  // single-backend campaign, so compare the split against itself).
   bool split_identical = true;
   {
     std::string expected;
-    for (const auto& [batch, steal] :
-         {std::pair<int, bool>{1, false}, {num_programs, true}, {4, true}}) {
+    for (const int threads : {1, 4}) {
+      cfg.threads = threads;
       SleepExecutor a("stub_a", heavy_ms, light_ms);
       SleepExecutor b("stub_b", 0, 0);
-      SchedulerConfig sched;
-      sched.batch_size = batch;
-      sched.steal = steal;
-      harness::Campaign campaign(cfg, {{&a, "skewed"}, {&b, "flat"}}, sched);
+      harness::Campaign campaign(cfg, {{&a, "skewed"}, {&b, "flat"}});
       const std::string json = harness::to_json(campaign.run());
       if (expected.empty()) {
         expected = json;
@@ -153,9 +133,9 @@ int main(int argc, char** argv) {
 
   const bool identical = reports[0] == reports[1] && split_identical;
   const double speedup = rows[0].wall_ms / rows[1].wall_ms;
-  std::printf("\n  steal-on speedup: %.2fx (gate: >= 2x)\n", speedup);
-  std::printf("  results bit-identical across steal/batch/split: %s\n",
-              identical ? "yes" : "NO — scheduling changed results!");
+  std::printf("\n  threads = 4 speedup: %.2fx (gate: >= 2x)\n", speedup);
+  std::printf("  results bit-identical across threads/split: %s\n",
+              identical ? "yes" : "NO — dispatch changed results!");
 
   JsonWriter json;
   json.begin_object();
@@ -164,17 +144,14 @@ int main(int argc, char** argv) {
   json.key("inputs_per_program").value(1);
   json.key("light_ms").value(light_ms);
   json.key("heavy_ms").value(heavy_ms);
-  json.key("campaign_threads").value(4);
-  json.key("batch_size").value(num_programs);
   json.end_object();
   json.key("results_identical").value(identical);
   json.key("curve").begin_array();
   for (const auto& row : rows) {
     json.begin_object();
-    json.key("steal").value(row.steal);
+    json.key("campaign_threads").value(row.threads);
     json.key("wall_ms").value(row.wall_ms);
-    json.key("stolen_units").value(static_cast<std::int64_t>(row.stolen));
-    json.key("speedup_vs_no_steal").value(rows.front().wall_ms / row.wall_ms);
+    json.key("speedup_vs_one_thread").value(rows.front().wall_ms / row.wall_ms);
     json.end_object();
   }
   json.end_array();
@@ -187,9 +164,8 @@ int main(int argc, char** argv) {
 
   const bool fast_enough = speedup >= 2.0;
   if (!fast_enough) {
-    std::printf("\n  WARNING: steal speedup %.2fx below the 2x gate\n", speedup);
+    std::printf("\n  WARNING: threads = 4 speedup %.2fx below the 2x gate\n",
+                speedup);
   }
-  const bool stole = rows[1].stolen > 0;
-  if (!stole) std::printf("\n  WARNING: stealing moved no units\n");
-  return identical && fast_enough && stole ? 0 : 1;
+  return identical && fast_enough ? 0 : 1;
 }

@@ -17,8 +17,8 @@
 // (instead of "profile: NAME") select the real-compiler subprocess backend,
 // tuned by the [executor] section (max_inflight, concurrent_runs, ...).
 // The [scheduler] section splits the implementation list into contiguous
-// backends, each all simulated or all subprocess, and sets batching and
-// work-stealing; the JSON report is bit-identical for every split.
+// backends, each all simulated or all subprocess; the JSON report is
+// bit-identical for every split.
 //
 // With `[store] enabled = true` every executed triple is persisted in a
 // content-addressed run cache under `store.dir`, so a re-run (or a killed run
@@ -29,7 +29,7 @@
 //
 // Faults (`--inject-faults` or `[faults]`) and telemetry (`--trace`,
 // `--metrics`, `--heartbeat` or `[telemetry]`) never change the JSON report:
-// retries and failover absorb injected harness faults, and traces, metric
+// retries absorb injected harness faults, and traces, metric
 // snapshots and the heartbeat go to their own files and stderr.
 //
 // The report prints the Table I counts for the campaign plus the most
@@ -214,13 +214,10 @@ int run_demo(int argc, char** argv) {
     }
     backends.push_back({executors.back().get(), name});
   }
-  if (num_backends > 1 || sched.batch_size > 1) {
-    std::printf("scheduler: %zu backends, batch_size=%d steal=%s\n",
-                num_backends, sched.batch_size, sched.steal ? "on" : "off");
-  }
+  if (num_backends > 1) std::printf("scheduler: %zu backends\n", num_backends);
   std::printf("\n");
 
-  harness::Campaign campaign(cfg, backends, sched);
+  harness::Campaign campaign(cfg, backends);
 
   const StoreConfig store_cfg = StoreConfig::from_config(file);
   std::unique_ptr<ResultStore> store;
@@ -276,9 +273,7 @@ int run_demo(int argc, char** argv) {
   std::printf("%s\n",
               harness::render_analysis_summary(result, run_metrics).c_str());
   std::printf("%s\n",
-              harness::render_robustness_summary(
-                  result, campaign.robustness_counters())
-                  .c_str());
+              harness::render_robustness_summary(result, run_metrics).c_str());
   std::printf("%s\n", harness::render_outlier_list(result, 10).c_str());
 
   if (reduce_divergent) {

@@ -13,6 +13,7 @@
 #include "support/error.hpp"
 #include "support/fault_injection.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace ompfuzz::harness {
 
@@ -32,7 +33,6 @@ CampaignMetrics::CampaignMetrics() {
   auto& registry = telemetry::Registry::global();
   retried_triples = &registry.counter("campaign.retried_triples");
   retry_rounds = &registry.counter("campaign.retry_rounds");
-  failover_units = &registry.counter("campaign.failover_units");
   fabricated_units = &registry.counter("campaign.fabricated_units");
   analysis_nanos = &registry.counter("campaign.analysis_nanos");
   units_total = &registry.gauge("campaign.units_total");
@@ -45,12 +45,10 @@ Campaign::Campaign(CampaignConfig config, Executor& executor)
     : Campaign(std::move(config),
                std::vector<CampaignBackend>{{&executor, "default"}}) {}
 
-Campaign::Campaign(CampaignConfig config, std::vector<CampaignBackend> backends,
-                   SchedulerConfig scheduler)
+Campaign::Campaign(CampaignConfig config, std::vector<CampaignBackend> backends)
     : config_(std::move(config)), backends_(std::move(backends)),
-      scheduler_(scheduler), generator_(config_.generator) {
+      generator_(config_.generator) {
   config_.validate();
-  scheduler_.validate();
   OMPFUZZ_CHECK(!backends_.empty(), "campaign needs at least one backend");
   std::set<std::string> backend_names;
   std::set<std::string> impl_names;
@@ -67,11 +65,10 @@ Campaign::Campaign(CampaignConfig config, std::vector<CampaignBackend> backends,
                     "implementation '" + name + "' appears in several backends");
     }
   }
-  // Baselines from construction, so the per-campaign accessors read zero
-  // until run() re-baselines them (the registry counters are process-wide
-  // and monotonic across campaigns).
+  // Baseline from construction, so run_metrics() reads zero until run()
+  // re-baselines it (the registry counters are process-wide and monotonic
+  // across campaigns).
   metrics_base_ = telemetry::Registry::global().snapshot();
-  analysis_nanos_base_ = metrics_.analysis_nanos->value();
 }
 
 TestCase Campaign::make_test_case(int program_index) const {
@@ -137,7 +134,7 @@ namespace {
 struct SubShard {
   /// Any run fabricated by a harness failure (compile/spawn infrastructure
   /// error): the sub-shard is merged like any other, but it counts against
-  /// its backend's health and a failover spare re-runs it.
+  /// its backend's health.
   bool tainted = false;
   int regeneration_attempts = 0;
   std::string program_name;
@@ -267,11 +264,11 @@ std::vector<BatchGroup> group_pending(const std::vector<char>& need,
 /// bounded exponential backoff. Genuine observations are kept across
 /// retries — only the failed triples go back to the executor — so a
 /// transient fault leaves no trace in the merged result. Retrying stops
-/// early when `backend_dead` flips: the campaign's failover/quarantine
-/// machinery takes over from there.
+/// early when `backend_dead` flips: the campaign's quarantine path takes
+/// over from there.
 ///
 /// Each unit regenerates its own TestCase, so an N-backend campaign runs the
-/// generator N times per program. Deliberate: batches are backend-major, so
+/// generator N times per program. Deliberate: units are backend-major, so
 /// one program's units can be claimed arbitrarily far apart — sharing the
 /// TestCase would hold up to num_programs ASTs live at once, and generation
 /// is a bounded CPU cost per unit where the executed runs (compiles, test
@@ -282,7 +279,7 @@ SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
                         const std::vector<std::string>& impl_identities,
                         ResultStore* store, int p, int backend_index,
                         const CampaignMetrics& metrics,
-                        const std::atomic<bool>* backend_dead) {
+                        const std::atomic<bool>& backend_dead) {
   telemetry::ScopedSpan span("run-batch", "shard_unit");
   const TestCase test = campaign.make_test_case(p);
   const std::uint64_t fingerprint = test.program.fingerprint();
@@ -396,8 +393,8 @@ SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
       if (need[idx]) ++failed;
     }
     if (failed == 0) break;
-    if (backend_dead != nullptr && backend_dead->load(std::memory_order_acquire)) {
-      break;  // the campaign's failover/quarantine path takes over
+    if (backend_dead.load(std::memory_order_acquire)) {
+      break;  // the campaign's quarantine path takes over
     }
     metrics.retry_rounds->add();
     metrics.retried_triples->add(failed);
@@ -416,11 +413,11 @@ SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
   return shard;
 }
 
-/// Sub-shard of a dead backend with no compatible spare: every run is a
-/// fabricated harness failure, but the program metadata (name, input
-/// serializations, regeneration count) is still generated for real so the
-/// merge and the split-invariant static-analysis accounting see the same
-/// program every healthy backend sees.
+/// Sub-shard of a dead backend: every run is a fabricated harness failure,
+/// but the program metadata (name, input serializations, regeneration count)
+/// is still generated for real so the merge and the split-invariant
+/// static-analysis accounting see the same program every healthy backend
+/// sees.
 SubShard fabricate_shard_unit(const Campaign& campaign,
                               const std::vector<std::string>& impl_names,
                               int p) {
@@ -439,7 +436,7 @@ SubShard fabricate_shard_unit(const Campaign& campaign,
 // ------------------------------------------------------------ plan phase ----
 
 /// Everything run() fixes before the first unit executes: the column layout
-/// and the failover wiring.
+/// and the per-backend executor locks.
 struct RunPlan {
   /// Per backend, its implementation names (executor order) and their store
   /// identities. Backends in order, names in order within each, is the
@@ -449,13 +446,9 @@ struct RunPlan {
   /// Per-backend serialization for executors that are not thread-safe;
   /// other backends' units keep running in parallel around them.
   std::vector<std::unique_ptr<std::mutex>> exec_mutexes;
-  /// Index into the failover list of each backend's spare, or -1.
-  std::vector<int> spare_for;
-  std::vector<std::unique_ptr<std::mutex>> spare_mutexes;
 };
 
-RunPlan plan_run(const std::vector<CampaignBackend>& backends,
-                 const std::vector<Executor*>& failover) {
+RunPlan plan_run(const std::vector<CampaignBackend>& backends) {
   const std::size_t nb = backends.size();
   RunPlan plan;
   plan.impls.resize(nb);
@@ -472,36 +465,6 @@ RunPlan plan_run(const std::vector<CampaignBackend>& backends,
       plan.exec_mutexes[b] = std::make_unique<std::mutex>();
     }
   }
-
-  // Spare assignment: each backend gets the first unclaimed spare whose
-  // implementation list and per-name cache identities match it exactly —
-  // the condition under which substitution is invisible in the merged
-  // result (identical RunKeys, identical report columns).
-  plan.spare_for.assign(nb, -1);
-  plan.spare_mutexes.resize(failover.size());
-  std::vector<char> spare_taken(failover.size(), 0);
-  const auto matches = [&](const Executor& spare, std::size_t b) {
-    if (spare.implementations() != plan.impls[b]) return false;
-    for (std::size_t j = 0; j < plan.impls[b].size(); ++j) {
-      const std::string& name = plan.impls[b][j];
-      if (store_impl_identity(name, spare.impl_identity(name)) !=
-          plan.identities[b][j]) {
-        return false;
-      }
-    }
-    return true;
-  };
-  for (std::size_t b = 0; b < nb; ++b) {
-    for (std::size_t s = 0; s < failover.size(); ++s) {
-      if (spare_taken[s] || !matches(*failover[s], b)) continue;
-      spare_taken[s] = 1;
-      plan.spare_for[b] = static_cast<int>(s);
-      if (!failover[s]->thread_safe()) {
-        plan.spare_mutexes[s] = std::make_unique<std::mutex>();
-      }
-      break;
-    }
-  }
   return plan;
 }
 
@@ -510,21 +473,18 @@ RunPlan plan_run(const std::vector<CampaignBackend>& backends,
 /// What the execute phase hands to the merge.
 struct Execution {
   std::vector<std::vector<SubShard>> grid;  ///< [program][backend]
-  /// Backends declared dead with no compatible spare, in backend order.
+  /// Backends declared dead, in backend order.
   std::vector<std::string> lost_backends;
   SchedulerStats scheduler_stats;
 };
 
-/// Runs every (program, backend) unit through the shard scheduler, then
-/// sweeps dead backends' tainted units onto their spares. Units are
-/// deterministic in isolation thanks to the per-program RandomEngine::fork
-/// streams in make_test_case, and every executed triple reaches the store
-/// as its batch completes, so a killed campaign re-run on the same store
-/// executes only the triples that never got there.
+/// Runs every (program, backend) unit on a pool of `config.threads`
+/// workers. Units are deterministic in isolation thanks to the per-program
+/// RandomEngine::fork streams in make_test_case, and every executed triple
+/// reaches the store as its unit completes, so a killed campaign re-run on
+/// the same store executes only the triples that never got there.
 Execution execute_units(const Campaign& campaign, const RunPlan& plan,
-                        const std::vector<Executor*>& failover,
-                        ResultStore* store, const SchedulerConfig& scheduler,
-                        const CampaignMetrics& metrics,
+                        ResultStore* store, const CampaignMetrics& metrics,
                         const ProgressFn& progress) {
   const auto& backends = campaign.backends();
   const std::size_t nb = backends.size();
@@ -534,9 +494,8 @@ Execution execute_units(const Campaign& campaign, const RunPlan& plan,
   // Backend health: a backend whose units keep coming back fully exhausted
   // (tainted even after run_shard_unit's retries) is declared dead after
   // `retry.backend_death_threshold` consecutive tainted sub-shards. From
-  // then on its units go to a matching failover spare — or, with no spare,
-  // are fabricated without touching the executor and surface as quarantined
-  // triples plus a lost_backends entry.
+  // then on its units are fabricated without touching the executor and
+  // surface as quarantined triples plus a lost_backends entry.
   struct BackendHealth {
     std::atomic<int> consecutive{0};
     std::atomic<bool> dead{false};
@@ -545,26 +504,17 @@ Execution execute_units(const Campaign& campaign, const RunPlan& plan,
   metrics.live_backends->set(static_cast<std::int64_t>(nb));
   const int death_threshold = campaign.config().retry.backend_death_threshold;
 
-  // Executes one (program, backend) unit through whatever path the backend's
-  // health dictates, updating the health streak on the primary path.
+  // Executes one (program, backend) unit, or fabricates it once the backend
+  // is dead, updating the health streak.
   const auto execute_unit = [&](std::size_t b, int p) -> SubShard {
     if (health[b].dead.load(std::memory_order_acquire)) {
-      const int s = plan.spare_for[b];
-      if (s >= 0) {
-        metrics.failover_units->add();
-        const auto spare = static_cast<std::size_t>(s);
-        return run_shard_unit(campaign, *failover[spare],
-                              plan.spare_mutexes[spare].get(), plan.impls[b],
-                              plan.identities[b], store, p, static_cast<int>(b),
-                              metrics, nullptr);
-      }
       metrics.fabricated_units->add();
       return fabricate_shard_unit(campaign, plan.impls[b], p);
     }
     SubShard shard = run_shard_unit(
         campaign, *backends[b].executor, plan.exec_mutexes[b].get(),
         plan.impls[b], plan.identities[b], store, p, static_cast<int>(b),
-        metrics, &health[b].dead);
+        metrics, health[b].dead);
     if (!shard.tainted) {
       health[b].consecutive.store(0, std::memory_order_relaxed);
       return shard;
@@ -580,25 +530,24 @@ Execution execute_units(const Campaign& campaign, const RunPlan& plan,
 
   Execution out;
   out.grid.assign(np, std::vector<SubShard>(nb));
-  std::vector<std::vector<int>> pending(nb);
-  for (auto& list : pending) {
-    list.resize(np);
-    for (std::size_t p = 0; p < np; ++p) list[p] = static_cast<int>(p);
-  }
   std::vector<std::atomic<int>> remaining(np);
   for (auto& left : remaining) left.store(static_cast<int>(nb), std::memory_order_relaxed);
 
   int completed = 0;
   std::mutex progress_mutex;
   // Live-progress gauges for the sampler/heartbeat.
-  const std::size_t scheduled_units = np * nb;
-  metrics.units_total->set(static_cast<std::int64_t>(scheduled_units));
+  const std::size_t num_units = np * nb;
+  metrics.units_total->set(static_cast<std::int64_t>(num_units));
   metrics.units_done->set(0);
 
-  const auto run_unit = [&](const ShardUnit& unit) {
-    const auto p = static_cast<std::size_t>(unit.program_index);
+  // Unit u is program u % np under backend u / np: backend-major, programs
+  // in order within each backend. The pool hands units out FIFO, so one
+  // worker runs them in exactly this order.
+  const auto run_unit = [&](int u) {
+    const std::size_t b = static_cast<std::size_t>(u) / np;
+    const std::size_t p = static_cast<std::size_t>(u) % np;
     const std::uint64_t t0 = telemetry::Tracer::now_ns();
-    out.grid[p][unit.backend] = execute_unit(unit.backend, unit.program_index);
+    out.grid[p][b] = execute_unit(b, static_cast<int>(p));
     metrics.unit_micros->record((telemetry::Tracer::now_ns() - t0) / 1000);
     metrics.units_done->add(1);
     if (remaining[p].fetch_sub(1, std::memory_order_acq_rel) == 1 && progress) {
@@ -607,30 +556,31 @@ Execution execute_units(const Campaign& campaign, const RunPlan& plan,
     }
   };
 
-  const ShardScheduler shard_scheduler(
-      nb, scheduler, resolve_thread_count(campaign.config().threads));
+  SchedulerStats& stats = out.scheduler_stats;
+  stats.units = num_units;
+  stats.batches = num_units;
+  stats.units_per_backend.assign(nb, np);
+  auto& registry = telemetry::Registry::global();
+  registry.counter("scheduler.units").add(num_units);
+  for (std::size_t b = 0; b < nb; ++b) {
+    registry.gauge("scheduler.backend." + std::to_string(b) + ".units")
+        .set(static_cast<std::int64_t>(np));
+  }
   {
     telemetry::ScopedSpan schedule_span("campaign", "schedule");
     if (schedule_span.active()) {
-      schedule_span.arg("units", static_cast<std::uint64_t>(scheduled_units));
+      schedule_span.arg("units", static_cast<std::uint64_t>(num_units));
     }
-    out.scheduler_stats = shard_scheduler.run(pending, run_unit);
+    // Every unit runs, and reaches the store, before parallel_for rethrows
+    // the first exception.
+    ThreadPool pool(std::min(
+        resolve_thread_count(campaign.config().threads), num_units));
+    parallel_for(pool, static_cast<int>(num_units), run_unit);
   }
 
-  // Failover sweep: units of a dead backend that exhausted their retries
-  // BEFORE the death was detected (the streak that killed it) are re-run on
-  // its spare, restoring the exact runs a healthy campaign would have
-  // produced — a backend lost mid-campaign with a compatible spare leaves no
-  // trace in the merged result. Dead backends without a spare are reported
-  // as lost; their fabricated columns stay and become quarantine records.
   for (std::size_t b = 0; b < nb; ++b) {
-    if (!health[b].dead.load(std::memory_order_acquire)) continue;
-    if (plan.spare_for[b] < 0) {
+    if (health[b].dead.load(std::memory_order_acquire)) {
       out.lost_backends.push_back(backends[b].name);
-      continue;
-    }
-    for (std::size_t p = 0; p < np; ++p) {
-      if (out.grid[p][b].tainted) out.grid[p][b] = execute_unit(b, static_cast<int>(p));
     }
   }
   return out;
@@ -727,8 +677,8 @@ void aggregate_program(MergedShard& shard, int p, CampaignResult& result) {
       if (outcome.runs[r].status == core::RunStatus::Skipped) {
         ++result.skipped_runs;
       }
-      // A fabricated run surviving to the merge means retries and failover
-      // were both exhausted for this triple — quarantine it. The ordered
+      // A fabricated run surviving to the merge means retries were
+      // exhausted for this triple — quarantine it. The ordered
       // merge makes the record list deterministic.
       if (outcome.runs[r].harness_failure) {
         result.robustness.quarantined.push_back(
@@ -751,8 +701,7 @@ void aggregate_program(MergedShard& shard, int p, CampaignResult& result) {
 }
 
 /// The merge phase: programs in order, so the result does not depend on the
-/// thread count, the batch size, the steal schedule, or sub-shard
-/// completion order.
+/// thread count or sub-shard completion order.
 void merge_units(const Campaign& campaign, const RunPlan& plan,
                  const core::ProgramGenerator& generator,
                  std::vector<std::vector<SubShard>>& grid,
@@ -775,43 +724,14 @@ void merge_units(const Campaign& campaign, const RunPlan& plan,
 
 }  // namespace
 
-void Campaign::add_failover(Executor* spare) {
-  OMPFUZZ_CHECK(spare != nullptr, "failover spare needs an executor");
-  failover_.push_back(spare);
-}
-
-RobustnessCounters Campaign::robustness_counters() const noexcept {
-  // The registry counters are process-wide and monotonic; the per-run view
-  // subtracts the baseline captured when run() started.
-  const auto delta = [](std::uint64_t current, std::uint64_t base) {
-    return current >= base ? current - base : 0;
-  };
-  RobustnessCounters c;
-  c.retried_triples =
-      delta(metrics_.retried_triples->value(), counters_base_.retried_triples);
-  c.retry_rounds =
-      delta(metrics_.retry_rounds->value(), counters_base_.retry_rounds);
-  c.failover_units =
-      delta(metrics_.failover_units->value(), counters_base_.failover_units);
-  c.fabricated_units = delta(metrics_.fabricated_units->value(),
-                             counters_base_.fabricated_units);
-  return c;
-}
-
 CampaignResult Campaign::run(const ProgressFn& progress) {
-  // Fresh telemetry baselines for this run: the registry counters are
-  // process-wide and monotonic, so the per-run accessors
-  // (robustness_counters, run_metrics) subtract the values captured here.
-  // analysis_nanos keeps its construction-time baseline — analysis_seconds()
-  // covers every draft this campaign generated, run() or not.
+  // Fresh telemetry baseline for this run: the registry counters are
+  // process-wide and monotonic, so run_metrics() subtracts the values
+  // captured here.
   metrics_base_ = telemetry::Registry::global().snapshot();
-  counters_base_.retried_triples = metrics_.retried_triples->value();
-  counters_base_.retry_rounds = metrics_.retry_rounds->value();
-  counters_base_.failover_units = metrics_.failover_units->value();
-  counters_base_.fabricated_units = metrics_.fabricated_units->value();
   telemetry::ScopedSpan run_span("campaign", "run");
 
-  const RunPlan plan = plan_run(backends_, failover_);
+  const RunPlan plan = plan_run(backends_);
   CampaignResult result;
   for (const auto& names : plan.impls) {
     for (const auto& name : names) {
@@ -820,8 +740,7 @@ CampaignResult Campaign::run(const ProgressFn& progress) {
     }
   }
 
-  Execution execution = execute_units(*this, plan, failover_, store_, scheduler_,
-                                      metrics_, progress);
+  Execution execution = execute_units(*this, plan, store_, metrics_, progress);
   scheduler_stats_ = std::move(execution.scheduler_stats);
   result.robustness.lost_backends = std::move(execution.lost_backends);
 

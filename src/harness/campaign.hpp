@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
@@ -21,7 +22,6 @@
 #include "core/generator.hpp"
 #include "core/outlier.hpp"
 #include "harness/executor.hpp"
-#include "harness/scheduler.hpp"
 #include "support/config.hpp"
 #include "support/result_store.hpp"
 #include "support/telemetry.hpp"
@@ -94,11 +94,11 @@ struct StaticAnalysisStats {
 };
 
 /// One (program, input, implementation) triple whose run could not be
-/// obtained even after retry and failover: the merged result carries a
-/// fabricated Crash run (harness_failure) in that column, and the report's
-/// `robustness` block lists the triple. Content and order are deterministic
-/// (programs in order, inputs in order, implementations in column order), so
-/// the block is split-invariant like the rest of the JSON.
+/// obtained even after retries: the merged result carries a fabricated Crash
+/// run (harness_failure) in that column, and the report's `robustness` block
+/// lists the triple. Content and order are deterministic (programs in order,
+/// inputs in order, implementations in column order), so the block is
+/// split-invariant like the rest of the JSON.
 struct QuarantineRecord {
   int program_index = 0;
   int input_index = 0;
@@ -108,28 +108,17 @@ struct QuarantineRecord {
 
 /// Robustness accounting that is safe to keep in the report JSON. Under a
 /// fault-free campaign — and equally under transient injected faults that
-/// retries and failover fully absorb — both lists are empty, which is what
-/// keeps a fault-injected report byte-identical to the clean baseline. Only
-/// permanently lost work appears here.
+/// retries fully absorb — both lists are empty, which is what keeps a
+/// fault-injected report byte-identical to the clean baseline. Only
+/// permanently lost work appears here. How hard the campaign tried (retries
+/// fired, units fabricated) varies with fault timing and thread interleaving,
+/// so those counters live only in the telemetry registry (`campaign.*`, read
+/// through Campaign::run_metrics()).
 struct RobustnessStats {
   std::vector<QuarantineRecord> quarantined;
-  /// Backends marked dead with no compatible failover spare: their remaining
-  /// columns are fabricated (and quarantined) from the death point on.
+  /// Backends declared dead: their remaining columns are fabricated (and
+  /// quarantined) from the death point on.
   std::vector<std::string> lost_backends;
-};
-
-/// Stdout-only robustness telemetry of the last run(). These counters vary
-/// with fault timing and thread interleaving (how many retries fired, when a
-/// backend was declared dead), so — like Campaign::analysis_seconds() — they
-/// stay out of CampaignResult and the JSON; render_robustness_summary prints
-/// them next to the deterministic RobustnessStats. The accumulators live in
-/// the telemetry registry ("campaign.retried_triples", ...); this struct is
-/// the per-run view (counter deltas since run() started).
-struct RobustnessCounters {
-  std::uint64_t retried_triples = 0;   ///< (input, impl) triples re-dispatched
-  std::uint64_t retry_rounds = 0;      ///< backoff rounds slept before retrying
-  std::uint64_t failover_units = 0;    ///< sub-shards executed by a spare
-  std::uint64_t fabricated_units = 0;  ///< sub-shards fabricated without dispatch
 };
 
 struct CampaignResult {
@@ -152,10 +141,28 @@ struct CampaignResult {
   [[nodiscard]] double outlier_rate() const;  ///< outlier runs / total runs
 };
 
-/// Progress callback: (programs done, total programs). With `config.threads`
-/// > 1 the callback fires in completion order (counts stay monotonic) and
-/// must tolerate being called from worker threads.
+/// Progress callback: (programs done, total programs). Fires from the
+/// campaign's worker threads in completion order (counts stay monotonic, and
+/// calls never overlap).
 using ProgressFn = std::function<void(int, int)>;
+
+/// One execution backend of a multi-backend campaign: a (non-owned) executor
+/// plus a stable name used by the reports.
+struct CampaignBackend {
+  Executor* executor = nullptr;
+  std::string name;
+};
+
+/// What one run() dispatched (throughput bookkeeping only — results never
+/// depend on it). Units run one at a time off a FIFO thread pool, so
+/// `batches` always equals `units` and `stolen_units` is always 0; both stay
+/// because the end-to-end benchmark reports them.
+struct SchedulerStats {
+  std::uint64_t batches = 0;
+  std::uint64_t units = 0;  ///< (program, backend) units executed
+  std::uint64_t stolen_units = 0;
+  std::vector<std::uint64_t> units_per_backend;  ///< indexed like backends
+};
 
 /// A campaign's cached references into the process-wide telemetry registry.
 /// Registered once at construction so the hot paths (campaign workers,
@@ -164,7 +171,6 @@ using ProgressFn = std::function<void(int, int)>;
 struct CampaignMetrics {
   telemetry::Counter* retried_triples;   ///< campaign.retried_triples
   telemetry::Counter* retry_rounds;      ///< campaign.retry_rounds
-  telemetry::Counter* failover_units;    ///< campaign.failover_units
   telemetry::Counter* fabricated_units;  ///< campaign.fabricated_units
   telemetry::Counter* analysis_nanos;    ///< campaign.analysis_nanos
   telemetry::Gauge* units_total;         ///< campaign.units_total
@@ -177,25 +183,21 @@ struct CampaignMetrics {
 class Campaign {
  public:
   /// Single-backend campaign: every implementation of `executor` runs under
-  /// one backend named "default", with the default scheduler (batch_size 1).
+  /// one backend named "default".
   Campaign(CampaignConfig config, Executor& executor);
 
   /// Multi-backend campaign: each backend executes its executor's
   /// implementation subset for every program, and the per-backend runs merge
   /// — in backend order, implementations in executor order within each — into
   /// one CampaignResult. Implementation names must be unique across backends
-  /// and backend names unique and non-empty. `scheduler` supplies batching
-  /// and work-stealing (SchedulerConfig::backends is a config-file/demo
-  /// concern and is ignored here — the split is whatever `backends` says).
-  Campaign(CampaignConfig config, std::vector<CampaignBackend> backends,
-           SchedulerConfig scheduler = {});
+  /// and backend names unique and non-empty.
+  Campaign(CampaignConfig config, std::vector<CampaignBackend> backends);
 
   /// Runs the whole campaign. Deterministic given the config seed and the
-  /// executors (SimExecutor is fully deterministic): program sub-shards are
-  /// scheduled across `config.threads` workers in batches (with idle workers
-  /// stealing from straggler batches) and aggregated in program order, so
-  /// the result is bit-identical for every thread count, backend split,
-  /// batch size, and steal schedule — and, with a result store attached,
+  /// executors (SimExecutor is fully deterministic): every (program, backend)
+  /// unit runs on a pool of `config.threads` workers and the units are
+  /// aggregated in program order, so the result is bit-identical for every
+  /// thread count and backend split — and, with a result store attached,
   /// identical whether each run was executed or served from the store
   /// (verdicts are recomputed from the raw runs).
   [[nodiscard]] CampaignResult run(const ProgressFn& progress = nullptr);
@@ -207,28 +209,13 @@ class Campaign {
   [[nodiscard]] const CampaignConfig& config() const noexcept { return config_; }
 
   /// Attaches a persistent run cache (not owned; may be shared between
-  /// campaigns). Before dispatching a batch, every (program, input, impl)
+  /// campaigns). Before dispatching a unit, every (program, input, impl)
   /// triple whose key is cached is satisfied from the store; executed
-  /// triples are written back durably as batches complete. This is also how
+  /// triples are written back durably as units complete. This is also how
   /// a killed campaign resumes: re-running it on the same store executes
   /// only the triples whose records were never written. Implementations
   /// whose executor reports an empty impl_identity() are never cached.
   void set_result_store(ResultStore* store) noexcept { store_ = store; }
-
-  /// Registers a failover spare (not owned; callable any time before run()).
-  /// A spare stands in for the first backend that is declared dead (see
-  /// RetryConfig::backend_death_threshold) whose executor it matches exactly:
-  /// the same implementations() in the same order and the same
-  /// impl_identity() per name. The match makes substitution invisible — the
-  /// spare's runs carry identical RunKeys and merge into identical reports —
-  /// so a campaign that loses a backend mid-run still completes
-  /// byte-identically. Each spare replaces at most one backend; spares whose
-  /// identities match no dead backend are never touched.
-  void add_failover(Executor* spare);
-
-  /// Stdout-only retry/failover telemetry of the last run(); see
-  /// RobustnessCounters for why it stays out of CampaignResult.
-  [[nodiscard]] RobustnessCounters robustness_counters() const noexcept;
 
   /// Every registered metric as a delta since the last run() started
   /// (counters/histograms subtract their run-start baseline, gauges stay
@@ -238,20 +225,10 @@ class Campaign {
     return telemetry::Registry::global().snapshot().delta_from(metrics_base_);
   }
 
-  /// What the shard scheduler did during the last run() (batches formed,
-  /// units stolen, ...). Bookkeeping only — results never depend on it.
+  /// What the last run() dispatched. Bookkeeping only — results never
+  /// depend on it.
   [[nodiscard]] const SchedulerStats& scheduler_stats() const noexcept {
     return scheduler_stats_;
-  }
-
-  /// Wall time spent inside analyze_races across every draft this campaign
-  /// generated (workers included). Timing bookkeeping only — kept out of
-  /// CampaignResult and the JSON so reports stay deterministic.
-  [[nodiscard]] double analysis_seconds() const noexcept {
-    const std::uint64_t total = metrics_.analysis_nanos->value();
-    const std::uint64_t nanos =
-        total >= analysis_nanos_base_ ? total - analysis_nanos_base_ : 0;
-    return static_cast<double>(nanos) * 1e-9;
   }
 
   [[nodiscard]] const std::vector<CampaignBackend>& backends() const noexcept {
@@ -261,18 +238,14 @@ class Campaign {
  private:
   CampaignConfig config_;
   std::vector<CampaignBackend> backends_;
-  std::vector<Executor*> failover_;  ///< spares, in registration order
-  SchedulerConfig scheduler_;
   core::ProgramGenerator generator_;
   ResultStore* store_ = nullptr;
   SchedulerStats scheduler_stats_;
   CampaignMetrics metrics_;
   /// Registry values when the last run() started (construction before that):
-  /// the process-wide counters are monotonic, so per-campaign accessors
-  /// report deltas from these baselines.
+  /// the process-wide counters are monotonic, so run_metrics() reports
+  /// deltas from this baseline.
   telemetry::MetricsSnapshot metrics_base_;
-  RobustnessCounters counters_base_;
-  std::uint64_t analysis_nanos_base_ = 0;
 };
 
 /// Finds the analyzable outcome where `impl` is flagged with `kind`,

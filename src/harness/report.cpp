@@ -100,11 +100,7 @@ std::string render_scheduler_summary(
     const telemetry::MetricsSnapshot& metrics) {
   std::string out = "scheduler: " +
                     std::to_string(metrics.counter("scheduler.units")) +
-                    " sub-shards in " +
-                    std::to_string(metrics.counter("scheduler.batches")) +
-                    " batches, " +
-                    std::to_string(metrics.counter("scheduler.stolen_units")) +
-                    " stolen by idle workers\n";
+                    " sub-shards\n";
   for (std::size_t b = 0; b < backends.size(); ++b) {
     out += "  backend " + backends[b].name + ": ";
     const auto impls = backends[b].executor->implementations();
@@ -154,14 +150,14 @@ std::string render_analysis_summary(const CampaignResult& result,
 }
 
 std::string render_robustness_summary(const CampaignResult& result,
-                                      const RobustnessCounters& counters) {
-  std::string out = "robustness: " + std::to_string(counters.retried_triples) +
-                    " triples retried in " +
-                    std::to_string(counters.retry_rounds) + " rounds, " +
-                    std::to_string(counters.failover_units) +
-                    " sub-shards failed over, " +
-                    std::to_string(counters.fabricated_units) +
-                    " fabricated\n";
+                                      const telemetry::MetricsSnapshot& metrics) {
+  std::string out =
+      "robustness: " +
+      std::to_string(metrics.counter("campaign.retried_triples")) +
+      " triples retried in " +
+      std::to_string(metrics.counter("campaign.retry_rounds")) + " rounds, " +
+      std::to_string(metrics.counter("campaign.fabricated_units")) +
+      " sub-shards fabricated\n";
   out += "  quarantined triples: " +
          std::to_string(result.robustness.quarantined.size()) + "\n";
   if (!result.robustness.lost_backends.empty()) {
@@ -215,10 +211,10 @@ std::string to_json(const CampaignResult& result) {
   json.end_object();
 
   // Split-invariant like static_analysis, and additionally empty whenever
-  // retries/failover absorbed every fault — which is how a fault-injected
-  // campaign's report diffs byte-identical against the clean baseline. Only
-  // permanently lost work (exhausted triples, dead backend with no spare)
-  // appears here; the variable how-hard-did-we-try counters are stdout-only
+  // retries absorbed every fault — which is how a fault-injected campaign's
+  // report diffs byte-identical against the clean baseline. Only
+  // permanently lost work (exhausted triples, dead backends) appears here;
+  // the variable how-hard-did-we-try counters are stdout-only
   // (render_robustness_summary).
   json.key("robustness").begin_object();
   json.key("quarantined").begin_array();

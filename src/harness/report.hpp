@@ -31,10 +31,10 @@ namespace ompfuzz::harness {
 [[nodiscard]] std::string to_json(const CampaignResult& result);
 
 /// One line per backend (name, implementations, units executed) plus the
-/// batch/steal counters of the last run, read from the telemetry registry
-/// (pass Campaign::run_metrics() so the scheduler.* counters are scoped to
-/// the run being summarized). Throughput bookkeeping only — kept out of
-/// to_json so backend splits stay report-invisible.
+/// unit total of the last run, read from the telemetry registry (pass
+/// Campaign::run_metrics() so the scheduler.* counters are scoped to the run
+/// being summarized). Throughput bookkeeping only — kept out of to_json so
+/// backend splits stay report-invisible.
 [[nodiscard]] std::string render_scheduler_summary(
     const std::vector<CampaignBackend>& backends,
     const telemetry::MetricsSnapshot& metrics);
@@ -49,13 +49,14 @@ namespace ompfuzz::harness {
 [[nodiscard]] std::string render_analysis_summary(
     const CampaignResult& result, const telemetry::MetricsSnapshot& metrics);
 
-/// Retry/failover/fault-injection summary: the deterministic RobustnessStats
+/// Retry/fault-injection summary: the deterministic RobustnessStats
 /// (quarantined triples, lost backends — also in the JSON's `robustness`
-/// block) next to the wall-clock-style counters (retries fired, sub-shards
-/// failed over, per-site fault-injection hits), which are nondeterministic
-/// and therefore stdout-only, exactly like the analysis timing above. Pass
-/// Campaign::robustness_counters() as `counters`.
+/// block) next to the counters of how hard the campaign tried (retries
+/// fired, units fabricated, per-site fault-injection hits), which are
+/// nondeterministic and therefore stdout-only, exactly like the analysis
+/// timing above. The counters come from the registry's campaign.* entries —
+/// pass Campaign::run_metrics().
 [[nodiscard]] std::string render_robustness_summary(
-    const CampaignResult& result, const RobustnessCounters& counters);
+    const CampaignResult& result, const telemetry::MetricsSnapshot& metrics);
 
 }  // namespace ompfuzz::harness

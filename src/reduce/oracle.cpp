@@ -1,6 +1,7 @@
 #include "reduce/oracle.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "analysis/value_range.hpp"
 #include "support/config.hpp"
@@ -70,14 +71,12 @@ InterestingnessOracle::classify(std::span<const Request> requests) {
     // children (or even memo lookups) on it is pure waste. Both PossibleError
     // and DefiniteError reject — the gate must be sound, not precise, and an
     // unproven candidate executed on a real compiler is undefined behavior.
-    if (options_.static_reject) {
-      const auto safety =
-          analysis::check_candidate_safety(*request.program, *request.input);
-      if (safety.verdict != analysis::SafetyVerdict::Safe) {
-        out.classification.trusted = false;
-        out.static_rejected = true;
-        return out;
-      }
+    const auto safety =
+        analysis::check_candidate_safety(*request.program, *request.input);
+    if (safety.verdict != analysis::SafetyVerdict::Safe) {
+      out.classification.trusted = false;
+      out.static_rejected = true;
+      return out;
     }
 
     std::vector<core::RunResult> runs(nj);
@@ -121,22 +120,25 @@ InterestingnessOracle::classify(std::span<const Request> requests) {
       // spawned) these runs, and nothing gets stored for them — warm stats
       // must not claim a replay that did not happen.
       out.executed = missing.size();
+      // A batch the executor cannot deliver — it threw (e.g. the
+      // interpreter rejecting an edit the static validity gate could not
+      // foresee) or returned the wrong number of results — makes the
+      // candidate untrusted, which the reducer treats as uninteresting. The
+      // campaign downgrades the same two failures to harness failures
+      // instead of aborting, and so does the oracle. Counted once per
+      // dispatched run, like the fabricated-result path below.
       std::vector<core::RunResult> batch;
+      bool delivered = true;
       try {
         batch = executor_.run_batch(test, {0}, missing);
-      } catch (const Error&) {
-        // A candidate the backend refuses to execute at all (e.g. the
-        // interpreter rejecting an edit the static validity gate could not
-        // foresee). Deterministic for a given candidate, so reductions stay
-        // reproducible: the candidate classifies as untrusted, which the
-        // reducer treats as uninteresting. Counted once per dispatched run,
-        // like the fabricated-result path below.
+      } catch (const std::exception&) {
+        delivered = false;
+      }
+      if (!delivered || batch.size() != missing.size()) {
         out.classification.trusted = false;
         out.failures += missing.size();
         return out;
       }
-      OMPFUZZ_CHECK(batch.size() == missing.size(),
-                    "executor returned a short batch");
       for (std::size_t k = 0; k < missing_ids.size(); ++k) {
         const std::size_t j = missing_ids[k];
         if (!impl_identities_[j].empty() && !batch[k].harness_failure) {
@@ -157,7 +159,7 @@ InterestingnessOracle::classify(std::span<const Request> requests) {
         ++out.failures;
       }
     }
-    out.classification.cls = core::classify_runs(runs, options_.tolerance);
+    out.classification.cls = core::classify_runs(runs, core::exact_tolerance());
     return out;
   };
 

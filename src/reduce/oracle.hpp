@@ -43,25 +43,21 @@
 
 namespace ompfuzz::reduce {
 
+/// Classification is exact (core::exact_tolerance, the campaign's own
+/// definition of "divergent"), and every candidate first passes the
+/// value-range pre-dispatch gate: one whose abstract interpretation cannot
+/// prove every subscript in bounds and every `%` divisor nonzero is
+/// classified untrusted WITHOUT dispatching any child. ddmin edits
+/// (especially expression rewrites inside subscripts) routinely produce such
+/// candidates; executing them costs a compile + run per impl only to land in
+/// the uninteresting bin — or, on a real-compiler backend, executes
+/// undefined behavior.
 struct OracleOptions {
-  /// Output-equality tolerance for the verdict class. The default matches
-  /// the campaign's divergence pass (bitwise, NaN-aware).
-  core::DiffTolerance tolerance = core::exact_tolerance();
   /// Worker threads dispatching candidate batches into the executor; the
   /// default 0 = hardware concurrency, which is what keeps a generation's
   /// children in flight together. Only used when the executor is
   /// thread-safe; results never depend on it (set 1 to force serial).
   int threads = 0;
-  /// Value-range pre-dispatch gate: candidates whose abstract interpretation
-  /// cannot prove every subscript in bounds and every `%` divisor nonzero
-  /// are classified untrusted WITHOUT dispatching any child. ddmin edits
-  /// (especially expression rewrites inside subscripts) routinely produce
-  /// such candidates; executing them costs a compile + run per impl only to
-  /// land in the uninteresting bin — or, on a real-compiler backend,
-  /// executes undefined behavior. Classifications are unchanged by the
-  /// toggle (rejected candidates classify untrusted either way); only the
-  /// child count differs.
-  bool static_reject = true;
 };
 
 struct OracleStats {
@@ -73,7 +69,8 @@ struct OracleStats {
   /// Candidates rejected by the value-range gate (zero children spawned).
   std::uint64_t static_rejects = 0;
   /// Candidates whose classification came back untrusted, from any cause:
-  /// static rejection, executor refusal, or fabricated runs.
+  /// static rejection, a throwing or short-batch executor, or fabricated
+  /// runs.
   std::uint64_t untrusted_candidates = 0;
 };
 
@@ -98,8 +95,9 @@ class InterestingnessOracle {
   struct Classification {
     core::VerdictClass cls;
     /// False when any run was fabricated by a harness failure (compile
-    /// timeout, fork exhaustion): the class cannot be trusted, and the
-    /// reducer must treat the candidate as uninteresting.
+    /// timeout, fork exhaustion) or the executor could not deliver the
+    /// batch: the class cannot be trusted, and the reducer must treat the
+    /// candidate as uninteresting.
     bool trusted = true;
   };
 

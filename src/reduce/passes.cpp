@@ -360,7 +360,7 @@ struct ExprProposal {
 /// pre-order. Subscript subtrees get the whole-index->0 pin plus the full
 /// set of partial edits: an edit that pushes a subscript out of bounds is
 /// caught by the oracle's value-range gate before any child is spawned
-/// (OracleOptions::static_reject), so unsafe candidates classify untrusted
+/// (see OracleOptions), so unsafe candidates classify untrusted
 /// without executing — and never as UB in emitted C++.
 void enumerate_proposals(const Expr& e, std::size_t& counter,
                          std::vector<ExprProposal>& out) {

@@ -254,8 +254,6 @@ constexpr Field<ExecutorConfig> kExecutorFields[] = {
 
 constexpr Field<SchedulerConfig> kSchedulerFields[] = {
     field<&SchedulerConfig::backends>("backends", 1),
-    field<&SchedulerConfig::batch_size>("batch_size", 1),
-    field<&SchedulerConfig::steal>("steal"),
 };
 
 constexpr Field<StoreConfig> kStoreFields[] = {

@@ -134,20 +134,13 @@ struct ExecutorConfig {
   void validate() const;
 };
 
-/// Knobs for the campaign shard scheduler (the [scheduler] section):
-/// how one campaign's program shards are split across execution backends
-/// and grouped into batches, and whether idle workers steal.
+/// The [scheduler] section: how campaign_demo splits one campaign's
+/// implementation list across execution backends.
 struct SchedulerConfig {
   /// Execution backends the implementation list is split across (contiguous,
   /// as-equal-as-possible groups, each homogeneous in backend kind). 1 =
-  /// single backend, the pre-scheduler behavior.
+  /// single backend.
   int backends = 1;
-  /// Program shards grouped into one scheduler batch. Batches amortize pool
-  /// overhead when num_programs >> threads; 1 = one batch per shard.
-  int batch_size = 1;
-  /// Idle workers claim unstarted shards from in-progress batches, so a
-  /// hang-heavy shard cannot strand the rest of its batch on one worker.
-  bool steal = true;
 
   static SchedulerConfig from_config(const ConfigFile& file);
   void validate() const;
@@ -186,9 +179,7 @@ struct RetryConfig {
   std::int64_t cap_ms = 2000;
   /// A backend whose workers complete this many CONSECUTIVE sub-shards that
   /// still contain harness failures after retries is marked dead: its
-  /// pending sub-shards migrate to a registered failover executor with
-  /// identical implementation identities when one exists, and are fabricated
-  /// as quarantined losses otherwise.
+  /// pending sub-shards are fabricated as quarantined losses.
   int backend_death_threshold = 4;
 
   static RetryConfig from_config(const ConfigFile& file);
@@ -265,8 +256,8 @@ struct CampaignConfig {
 
 /// Resolves a `threads`-style config knob: any value <= 0 means "use
 /// hardware concurrency" (at least 1); positive values are taken literally.
-/// The single definition of that convention — campaign.threads, the
-/// reduction oracle's worker count, and the scheduler all route through it,
+/// The single definition of that convention — campaign.threads and the
+/// reduction oracle's worker count both route through it,
 /// so the edge cases (0, negative, hardware_concurrency() == 0) cannot
 /// resolve differently at different sites.
 [[nodiscard]] std::size_t resolve_thread_count(int requested) noexcept;

@@ -210,7 +210,7 @@ class Tracer {
   void complete(const char* cat, const char* name, std::uint64_t start_ns,
                 std::uint64_t end_ns, std::string args_json = {});
 
-  /// Records an instant ("ph":"i") event, e.g. a steal.
+  /// Records an instant ("ph":"i") event: a point in time, not a span.
   void instant(const char* cat, const char* name, std::string args_json = {});
 
   /// Small dense id of the calling thread, assigned on first use.

@@ -1,8 +1,8 @@
 // Fixed-size worker pool for sharding campaign work across cores.
 //
-// The campaign engine dispatches one shard per generated program; each shard
+// The campaign engine dispatches one unit per (program, backend); each unit
 // is deterministic on its own (RandomEngine::fork streams), so a pool of
-// workers can execute shards in any order while the caller aggregates results
+// workers can execute units in any order while the caller aggregates results
 // in program order. The pool is deliberately minimal: FIFO queue, blocking
 // submit-side never, shutdown on destruction.
 #pragma once

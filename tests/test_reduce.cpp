@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -651,42 +652,54 @@ TEST(OracleStaticReject, UnsafeCandidateSpawnsZeroChildren) {
   EXPECT_GT(count_children(dir), 0);
 }
 
-TEST(OracleStaticReject, ToggleOnlyChangesChildCountNotClassification) {
-  harness::SimExecutor executor;
+// ------------------------------------------------- misbehaving executor ----
 
-  const ArrayFixture f;
-  const Program oob = f.oob_variant();
-  const fp::InputSet input = f.input();
-  const std::vector<InterestingnessOracle::Request> requests = {
-      {&f.prog, &input},
-      {&oob, &input},
-  };
+/// An executor that cannot deliver a batch: it returns one result fewer
+/// than requested, or throws an exception that is not an ompfuzz::Error.
+class BrokenBatchExecutor final : public harness::Executor {
+ public:
+  explicit BrokenBatchExecutor(bool throws) : throws_(throws) {}
 
-  OracleOptions off;
-  off.static_reject = false;
-  InterestingnessOracle gated(executor);
-  InterestingnessOracle ungated(executor, off);
-  const auto with_gate = gated.classify(requests);
-  const auto without_gate = ungated.classify(requests);
-
-  // Same verdicts either way: the safe program classifies identically, and
-  // the unsafe one is untrusted whether rejected statically or refused by
-  // the interpreter at dispatch.
-  ASSERT_EQ(with_gate.size(), without_gate.size());
-  for (std::size_t k = 0; k < with_gate.size(); ++k) {
-    EXPECT_EQ(with_gate[k].trusted, without_gate[k].trusted) << k;
-    if (with_gate[k].trusted) {
-      EXPECT_EQ(with_gate[k].cls, without_gate[k].cls) << k;
-    }
+  [[nodiscard]] core::RunResult run(const harness::TestCase&, std::size_t,
+                                    const std::string& impl) override {
+    core::RunResult r;
+    r.impl = impl;
+    r.status = core::RunStatus::Ok;
+    return r;
   }
-  EXPECT_TRUE(with_gate[0].trusted);
-  EXPECT_FALSE(with_gate[1].trusted);
+  [[nodiscard]] std::vector<core::RunResult> run_batch(
+      const harness::TestCase& test, const std::vector<std::size_t>& inputs,
+      const std::vector<std::string>& impls) override {
+    if (throws_) throw std::runtime_error("backend went away");
+    auto results = Executor::run_batch(test, inputs, impls);
+    results.pop_back();
+    return results;
+  }
+  [[nodiscard]] std::vector<std::string> implementations() const override {
+    return {"broken1", "broken2"};
+  }
+  [[nodiscard]] bool thread_safe() const noexcept override { return true; }
 
-  // Only the child count differs: the gate saves every run the unsafe
-  // candidate would have burned.
-  EXPECT_EQ(gated.stats().static_rejects, 1u);
-  EXPECT_EQ(ungated.stats().static_rejects, 0u);
-  EXPECT_LT(gated.stats().executed_runs, ungated.stats().executed_runs);
+ private:
+  bool throws_;
+};
+
+TEST(OracleExecutorFaults, UndeliveredBatchIsUntrustedNotFatal) {
+  const ArrayFixture f;  // safe: passes the value-range gate and dispatches
+  const fp::InputSet input = f.input();
+  for (const bool throws : {false, true}) {
+    BrokenBatchExecutor executor(throws);
+    InterestingnessOracle oracle(executor);
+    InterestingnessOracle::Request request{&f.prog, &input};
+    std::vector<InterestingnessOracle::Classification> verdicts;
+    ASSERT_NO_THROW(verdicts = oracle.classify({&request, 1}))
+        << "throws=" << throws;
+    ASSERT_EQ(verdicts.size(), 1u);
+    EXPECT_FALSE(verdicts.front().trusted) << "throws=" << throws;
+    EXPECT_EQ(oracle.stats().harness_failures, 2u) << "throws=" << throws;
+    EXPECT_EQ(oracle.stats().untrusted_candidates, 1u);
+    EXPECT_EQ(oracle.stats().static_rejects, 0u);
+  }
 }
 
 // ------------------------------------------------------ campaign retention -

@@ -1,9 +1,8 @@
-// Tests for the multi-backend shard scheduler: every unit runs exactly once
-// under any batch/steal/thread setting, merged CampaignResults are
-// bit-identical across backend splits, batch sizes, and steal schedules,
-// work-stealing actually moves work off a skewed batch (wall-clock bound +
-// stolen-unit count), and a re-run on a warm result store resumes without
-// dispatching, whatever the backend split.
+// Tests for multi-backend campaign dispatch: merged CampaignResults are
+// bit-identical across thread counts and backend splits, a worker pool
+// actually moves work off a skewed campaign (wall-clock bound against one
+// worker), and a re-run on a warm result store resumes without dispatching,
+// whatever the backend split.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -12,15 +11,12 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
-#include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "harness/campaign.hpp"
 #include "harness/report.hpp"
-#include "harness/scheduler.hpp"
 #include "harness/sim_executor.hpp"
 #include "harness/subprocess_executor.hpp"
 #include "runtime/impl_profile.hpp"
@@ -50,13 +46,6 @@ CampaignConfig sim_config(int programs, int threads) {
   return cfg;
 }
 
-SchedulerConfig sched_config(int batch_size, bool steal) {
-  SchedulerConfig s;
-  s.batch_size = batch_size;
-  s.steal = steal;
-  return s;
-}
-
 /// The three vendor profiles in canonical order; slices of this list build
 /// backend splits whose concatenated implementation order matches the
 /// single-backend baseline.
@@ -67,62 +56,9 @@ std::vector<rt::OmpImplProfile> profile_slice(std::size_t from, std::size_t to) 
           all.begin() + static_cast<std::ptrdiff_t>(to)};
 }
 
-// ------------------------------------------------------- raw scheduler ----
-
-TEST(ShardScheduler, EveryUnitRunsExactlyOnce) {
-  for (const int batch_size : {1, 4, 16}) {
-    for (const bool steal : {false, true}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        const ShardScheduler scheduler(2, sched_config(batch_size, steal),
-                                       threads);
-        std::mutex mutex;
-        std::set<std::pair<int, std::size_t>> seen;
-        std::atomic<int> calls{0};
-        const std::vector<std::vector<int>> programs = {
-            {0, 1, 2, 3, 4, 5, 6}, {0, 2, 4, 6}};
-        const auto stats = scheduler.run(programs, [&](const ShardUnit& unit) {
-          calls.fetch_add(1);
-          const std::lock_guard<std::mutex> lock(mutex);
-          EXPECT_TRUE(seen.insert({unit.program_index, unit.backend}).second)
-              << "unit ran twice";
-        });
-        EXPECT_EQ(calls.load(), 11);
-        EXPECT_EQ(seen.size(), 11u);
-        EXPECT_EQ(stats.units, 11u);
-        ASSERT_EQ(stats.units_per_backend.size(), 2u);
-        EXPECT_EQ(stats.units_per_backend[0], 7u);
-        EXPECT_EQ(stats.units_per_backend[1], 4u);
-        const auto expected_batches =
-            static_cast<std::uint64_t>((7 + batch_size - 1) / batch_size +
-                                       (4 + batch_size - 1) / batch_size);
-        EXPECT_EQ(stats.batches, expected_batches);
-        if (!steal || threads <= 1) {
-          EXPECT_EQ(stats.stolen_units, 0u);
-        }
-      }
-    }
-  }
-}
-
-TEST(ShardScheduler, PropagatesRunUnitExceptions) {
-  const ShardScheduler scheduler(1, sched_config(2, true), 4);
-  const std::vector<std::vector<int>> programs = {{0, 1, 2, 3, 4, 5}};
-  std::atomic<int> calls{0};
-  EXPECT_THROW(scheduler.run(programs,
-                             [&](const ShardUnit& unit) {
-                               calls.fetch_add(1);
-                               if (unit.program_index == 3) {
-                                 throw Error("unit failure");
-                               }
-                             }),
-               Error);
-  // Remaining units still ran (parallel_for semantics).
-  EXPECT_EQ(calls.load(), 6);
-}
-
 // ------------------------------------------- bit-identical merged result ---
 
-TEST(SchedulerCampaign, BitIdenticalAcrossBatchSizesAndSteal) {
+TEST(SchedulerCampaign, BitIdenticalAcrossThreadCounts) {
   SimExecutorOptions opt;
   opt.num_threads = 4;
 
@@ -130,18 +66,11 @@ TEST(SchedulerCampaign, BitIdenticalAcrossBatchSizesAndSteal) {
   Campaign baseline(sim_config(18, 1), baseline_exec);
   const std::string expected = to_json(baseline.run());
 
-  for (const int batch_size : {1, 4, 16}) {
-    for (const bool steal : {false, true}) {
-      for (const int threads : {1, 4}) {
-        SimExecutor exec(opt);
-        Campaign campaign(sim_config(18, threads),
-                          {{&exec, "default"}},
-                          sched_config(batch_size, steal));
-        EXPECT_EQ(to_json(campaign.run()), expected)
-            << "batch_size=" << batch_size << " steal=" << steal
-            << " threads=" << threads;
-      }
-    }
+  for (const int threads : {2, 3, 4, 8}) {
+    SimExecutor exec(opt);
+    Campaign campaign(sim_config(18, threads), exec);
+    EXPECT_EQ(to_json(campaign.run()), expected) << "threads=" << threads;
+    EXPECT_EQ(campaign.scheduler_stats().units, 18u);
   }
 }
 
@@ -157,8 +86,7 @@ TEST(SchedulerCampaign, BitIdenticalAcrossBackendSplits) {
     // {gcc} | {clang, intel}
     SimExecutor a(profile_slice(0, 1), opt);
     SimExecutor b(profile_slice(1, 3), opt);
-    Campaign campaign(sim_config(12, 4), {{&a, "left"}, {&b, "right"}},
-                      sched_config(4, true));
+    Campaign campaign(sim_config(12, 4), {{&a, "left"}, {&b, "right"}});
     EXPECT_EQ(to_json(campaign.run()), expected);
   }
   {
@@ -167,8 +95,7 @@ TEST(SchedulerCampaign, BitIdenticalAcrossBackendSplits) {
     SimExecutor b(profile_slice(1, 2), opt);
     SimExecutor c(profile_slice(2, 3), opt);
     Campaign campaign(sim_config(12, 4),
-                      {{&a, "b0"}, {&b, "b1"}, {&c, "b2"}},
-                      sched_config(1, false));
+                      {{&a, "b0"}, {&b, "b1"}, {&c, "b2"}});
     EXPECT_EQ(to_json(campaign.run()), expected);
   }
 }
@@ -185,7 +112,7 @@ TEST(SchedulerCampaign, RejectsDuplicateImplsAndAnonymousBackends) {
   EXPECT_THROW(Campaign(sim_config(2, 1), {{&c, "same"}, {&d, "same"}}), Error);
 }
 
-// ------------------------------------------------- skewed-cost stealing ----
+// ---------------------------------------------------- skewed-cost pool ----
 
 /// Deterministic sleeping executor: program "test_0" costs `heavy_ms` per
 /// run, every other program `light_ms` — the 50x-skew shape of a hang-heavy
@@ -223,42 +150,37 @@ class SleepExecutor final : public Executor {
 };
 
 TEST(SchedulerSteal, MovesWorkOffSkewedBatchesAndPreservesResults) {
-  // 40 programs, one 50x shard, a single batch, 4 workers. Without stealing
-  // the worker that pops the batch runs all 40 units serially (the sum of
-  // every sleep); with stealing the three idle workers drain the light units
-  // while the owner sits in the heavy one, so wall-clock collapses towards
+  // 40 programs, one 50x shard. One worker runs all 40 units serially (the
+  // sum of every sleep); with 4 workers the other three drain the light
+  // units while one sits in the heavy unit, so wall-clock collapses towards
   // the heavy unit's cost.
   constexpr int kPrograms = 40;
   constexpr int kLightMs = 4;
   constexpr int kHeavyMs = 50 * kLightMs;
-  CampaignConfig cfg = sim_config(kPrograms, 4);
-  cfg.inputs_per_program = 1;
 
-  const auto timed_run = [&](bool steal, SchedulerStats* stats_out) {
+  const auto timed_run = [&](int threads) {
+    CampaignConfig cfg = sim_config(kPrograms, threads);
+    cfg.inputs_per_program = 1;
     SleepExecutor exec(kHeavyMs, kLightMs);
-    Campaign campaign(cfg, {{&exec, "sleepy"}},
-                      sched_config(kPrograms, steal));
+    Campaign campaign(cfg, {{&exec, "sleepy"}});
     const auto start = std::chrono::steady_clock::now();
     const CampaignResult result = campaign.run();
     const auto wall = std::chrono::duration_cast<std::chrono::milliseconds>(
                           std::chrono::steady_clock::now() - start)
                           .count();
-    if (stats_out != nullptr) *stats_out = campaign.scheduler_stats();
     return std::make_pair(to_json(result), wall);
   };
 
-  SchedulerStats steal_stats;
-  const auto [json_off, wall_off] = timed_run(false, nullptr);
-  const auto [json_on, wall_on] = timed_run(true, &steal_stats);
+  const auto [json_one, wall_one] = timed_run(1);
+  const auto [json_four, wall_four] = timed_run(4);
 
-  EXPECT_EQ(json_on, json_off) << "steal schedule changed the merged result";
-  EXPECT_GT(steal_stats.stolen_units, 0u) << "no work was stolen";
-  // Serial lower bound without stealing: the sum of all sleeps (~356 ms).
-  // With stealing the bound is ~one heavy unit (~200 ms); 0.75 leaves CI
-  // scheduling noise plenty of headroom while still proving movement.
-  EXPECT_LT(wall_on, wall_off * 3 / 4)
-      << "stealing did not shorten the skewed campaign: " << wall_on << "ms vs "
-      << wall_off << "ms";
+  EXPECT_EQ(json_four, json_one) << "the thread count changed the merged result";
+  // One worker's lower bound: the sum of all sleeps (~356 ms). Four workers'
+  // bound is ~one heavy unit (~200 ms); 0.75 leaves CI scheduling noise
+  // plenty of headroom while still proving movement.
+  EXPECT_LT(wall_four, wall_one * 3 / 4)
+      << "4 workers did not shorten the skewed campaign: " << wall_four
+      << "ms vs " << wall_one << "ms";
 }
 
 // ------------------------------------------------- store-backed resume ----
@@ -310,7 +232,6 @@ TEST(SchedulerJournal, MultiBackendResumeRepinsEveryBackend) {
   SimExecutorOptions opt;
   opt.num_threads = 4;
   const CampaignConfig cfg = sim_config(6, 2);
-  const SchedulerConfig sched = sched_config(2, true);
   const auto triples = static_cast<std::uint64_t>(
       cfg.num_programs * cfg.inputs_per_program * 3);
 
@@ -319,7 +240,7 @@ TEST(SchedulerJournal, MultiBackendResumeRepinsEveryBackend) {
     SimExecutor a(profile_slice(0, 1), opt);
     SimExecutor b(profile_slice(1, 3), opt);
     ResultStore store(store_cfg);
-    Campaign campaign(cfg, {{&a, "left"}, {&b, "right"}}, sched);
+    Campaign campaign(cfg, {{&a, "left"}, {&b, "right"}});
     campaign.set_result_store(&store);
     cold_json = to_json(campaign.run());
     EXPECT_EQ(store.stats().hits, 0u);
@@ -334,7 +255,7 @@ TEST(SchedulerJournal, MultiBackendResumeRepinsEveryBackend) {
     CountingExecutor ca(a, dispatches);
     CountingExecutor cb(b, dispatches);
     ResultStore store(store_cfg);
-    Campaign campaign(cfg, {{&ca, "left"}, {&cb, "right"}}, sched);
+    Campaign campaign(cfg, {{&ca, "left"}, {&cb, "right"}});
     campaign.set_result_store(&store);
     EXPECT_EQ(to_json(campaign.run()), cold_json);
     EXPECT_EQ(store.stats().hits, triples);
@@ -348,7 +269,7 @@ TEST(SchedulerJournal, MultiBackendResumeRepinsEveryBackend) {
     std::atomic<int> dispatches{0};
     CountingExecutor counted(all, dispatches);
     ResultStore store(store_cfg);
-    Campaign campaign(cfg, {{&counted, "all"}}, sched);
+    Campaign campaign(cfg, {{&counted, "all"}});
     campaign.set_result_store(&store);
     EXPECT_EQ(to_json(campaign.run()), cold_json)
         << "the merged result itself is split-invariant";
@@ -361,13 +282,12 @@ TEST(SchedulerJournal, GrownCampaignResumesItsPrefix) {
   const StoreConfig store_cfg = store_at(temp_dir() + "/store");
   SimExecutorOptions opt;
   opt.num_threads = 4;
-  const SchedulerConfig sched = sched_config(3, true);
 
   {
     SimExecutor a(profile_slice(0, 2), opt);
     SimExecutor b(profile_slice(2, 3), opt);
     ResultStore store(store_cfg);
-    Campaign campaign(sim_config(3, 2), {{&a, "left"}, {&b, "right"}}, sched);
+    Campaign campaign(sim_config(3, 2), {{&a, "left"}, {&b, "right"}});
     campaign.set_result_store(&store);
     (void)campaign.run();
   }
@@ -376,7 +296,7 @@ TEST(SchedulerJournal, GrownCampaignResumesItsPrefix) {
     SimExecutor a(profile_slice(0, 2), opt);
     SimExecutor b(profile_slice(2, 3), opt);
     ResultStore store(store_cfg);
-    Campaign campaign(sim_config(6, 2), {{&a, "left"}, {&b, "right"}}, sched);
+    Campaign campaign(sim_config(6, 2), {{&a, "left"}, {&b, "right"}});
     campaign.set_result_store(&store);
     grown_json = to_json(campaign.run());
     // Program i does not depend on num_programs: the 3-program prefix
@@ -420,7 +340,7 @@ TEST(SchedulerCampaign, SimAndSubprocessBackendsMergeIntoOneResult) {
   SubprocessExecutor sub(impls, sub_opt);
 
   CampaignConfig cfg = sim_config(4, 2);
-  Campaign campaign(cfg, {{&sim, "sim"}, {&sub, "cc"}}, sched_config(2, true));
+  Campaign campaign(cfg, {{&sim, "sim"}, {&sub, "cc"}});
   const CampaignResult result = campaign.run();
 
   const std::vector<std::string> expected_names = {"gcc", "clang", "intel",

@@ -301,20 +301,21 @@ TEST(Config, TelemetrySectionParsesAndValidates) {
 TEST(Config, SchedulerSectionParsesAndValidates) {
   const auto defaults = SchedulerConfig::from_config(ConfigFile::parse(""));
   EXPECT_EQ(defaults.backends, 1);
-  EXPECT_EQ(defaults.batch_size, 1);
-  EXPECT_TRUE(defaults.steal);
 
-  const auto cfg = SchedulerConfig::from_config(ConfigFile::parse(
-      "[scheduler]\nbackends = 3\nbatch_size = 16\nsteal = off\n"));
+  const auto cfg = SchedulerConfig::from_config(
+      ConfigFile::parse("[scheduler]\nbackends = 3\n"));
   EXPECT_EQ(cfg.backends, 3);
-  EXPECT_EQ(cfg.batch_size, 16);
-  EXPECT_FALSE(cfg.steal);
 
   EXPECT_THROW(SchedulerConfig::from_config(
                    ConfigFile::parse("[scheduler]\nbackends = 0\n")),
                ConfigError);
+  // batch_size and steal are not keys: a stale config that still sets them
+  // fails instead of running silently.
   EXPECT_THROW(SchedulerConfig::from_config(
-                   ConfigFile::parse("[scheduler]\nbatch_size = -4\n")),
+                   ConfigFile::parse("[scheduler]\nbatch_size = 8\n")),
+               ConfigError);
+  EXPECT_THROW(SchedulerConfig::from_config(
+                   ConfigFile::parse("[scheduler]\nsteal = off\n")),
                ConfigError);
 }
 
@@ -435,7 +436,7 @@ TEST(Config, UnknownKeysAndSectionsAreRejected) {
   const auto c = CampaignConfig::from_config(ConfigFile::parse(
       "[implementations]\nmy-odd_name.v2 = profile: libgomp\n"
       "anything = g++ -fopenmp {src} -o {bin}\n"
-      "[executor]\nmax_inflight = 4\n[scheduler]\nsteal = off\n"
+      "[executor]\nmax_inflight = 4\n[scheduler]\nbackends = 2\n"
       "[store]\nenabled = false\n[faults]\nrate = 0.5\n"
       "[telemetry]\nheartbeat = on\n[retry]\ncap_ms = 5\n"));
   ASSERT_EQ(c.implementations.size(), 2u);

@@ -200,9 +200,8 @@ TEST(TelemetryRegistry, CampaignRunMetricsDeterministicAcrossThreadCounts) {
   const MetricsSnapshot one = run_with_threads(1);
   const MetricsSnapshot four = run_with_threads(4);
   for (const char* name :
-       {"scheduler.units", "scheduler.batches", "scheduler.stolen_units",
-        "campaign.retried_triples", "campaign.retry_rounds",
-        "campaign.failover_units", "campaign.fabricated_units",
+       {"scheduler.units", "campaign.retried_triples", "campaign.retry_rounds",
+        "campaign.fabricated_units",
         "store.hits", "store.misses", "store.puts"}) {
     EXPECT_EQ(one.counter(name), four.counter(name)) << name;
   }
@@ -242,7 +241,7 @@ TEST(TelemetryTracer, SpansAndInstantsProduceWellFormedTrace) {
     span.arg("fingerprint", telemetry::hex_fingerprint(0xabcdef));
     span.arg("backend", 2);
   }
-  Tracer::instance().instant("steal", "steal");
+  Tracer::instance().instant("mark", "mark");
   ASSERT_TRUE(Tracer::instance().stop());
 
   const std::string trace = slurp(path);
@@ -250,7 +249,7 @@ TEST(TelemetryTracer, SpansAndInstantsProduceWellFormedTrace) {
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(trace.find("\"cat\":\"compile\""), std::string::npos);
-  EXPECT_NE(trace.find("\"cat\":\"steal\""), std::string::npos);
+  EXPECT_NE(trace.find("\"cat\":\"mark\""), std::string::npos);
   EXPECT_NE(trace.find("\"fingerprint\":\"0000000000abcdef\""),
             std::string::npos);
   EXPECT_NE(trace.find("\"backend\":2"), std::string::npos);

@@ -22,7 +22,7 @@ Usage:
 
 --require-categories fails (exit 1) unless every named category appears at
 least once — CI uses it to prove the instrumentation actually covers the
-compile / run-batch / store / steal layers instead of silently going dark.
+compile / run-batch / store layers instead of silently going dark.
 """
 import argparse
 import json
