@@ -31,11 +31,7 @@ class Emitter {
         line("// " + text);
       }
     }
-    line("#include <chrono>");
-    line("#include <cmath>");
-    line("#include <cstdio>");
-    line("#include <cstdlib>");
-    line("#include <omp.h>");
+    out_ += prelude();
     blank();
     emit_compute();
     if (opt_.include_main) {
@@ -338,6 +334,16 @@ std::string emit_fp_literal(double v) {
   std::string text = format_double(v);
   // Guarantee the literal lexes as a double (e.g. "2" -> "2.0").
   if (text.find_first_of(".eE") == std::string::npos) text += ".0";
+  return text;
+}
+
+const std::string& prelude() {
+  static const std::string text =
+      "#include <chrono>\n"
+      "#include <cmath>\n"
+      "#include <cstdio>\n"
+      "#include <cstdlib>\n"
+      "#include <omp.h>\n";
   return text;
 }
 

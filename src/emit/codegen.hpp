@@ -35,6 +35,11 @@ struct EmitOptions {
   std::string header_comment;
 };
 
+/// The #include block every translation unit opens with (after its banner
+/// comment). The subprocess backend precompiles exactly this text, so the
+/// emitted file and its precompiled header cannot drift apart.
+[[nodiscard]] const std::string& prelude();
+
 /// Renders the full .cpp translation unit.
 [[nodiscard]] std::string emit_translation_unit(const ast::Program& program,
                                                 const EmitOptions& options = {});

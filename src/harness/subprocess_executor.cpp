@@ -1,12 +1,13 @@
 #include "harness/subprocess_executor.hpp"
 
-#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 
@@ -27,6 +28,11 @@ std::vector<std::string> tokenize(const std::string& command) {
     if (!trim(tok).empty()) out.emplace_back(trim(tok));
   }
   return out;
+}
+
+/// Successful exit, no timeout, no signal.
+bool succeeded(const ProcessResult& proc) {
+  return !proc.timed_out && !proc.signaled && proc.exit_code == 0;
 }
 
 /// Parses a full line as a double: the emitted programs print "<comp>\n"
@@ -53,19 +59,74 @@ SubprocessOptions to_subprocess_options(const ExecutorConfig& cfg) {
   return opt;
 }
 
+bool is_gxx_like(const std::string& program) {
+  std::string name = program.substr(program.rfind('/') + 1);  // npos + 1 == 0
+  // Drop a trailing "-<ver>" (digits and dots, starting with a digit).
+  if (const auto dash = name.rfind('-');
+      dash != std::string::npos && dash + 1 < name.size() &&
+      std::isdigit(static_cast<unsigned char>(name[dash + 1])) != 0 &&
+      name.find_first_not_of("0123456789.", dash + 1) == std::string::npos) {
+    name.resize(dash);
+  }
+  return name == "g++" || (name.size() > 4 && name.ends_with("-g++"));
+}
+
+std::vector<std::string> compile_argv(const std::string& command,
+                                      const std::string& src,
+                                      const std::string& bin,
+                                      const std::string& pch_header) {
+  std::vector<std::string> argv = tokenize(command);
+  for (auto& arg : argv) {
+    arg = replace_all(replace_all(arg, "{src}", src), "{bin}", bin);
+  }
+  if (!pch_header.empty() && !argv.empty()) {
+    argv.insert(argv.begin() + 1, {"-include", pch_header});
+  }
+  return argv;
+}
+
+std::vector<std::string> prelude_build_argv(const std::string& command,
+                                            const std::string& header) {
+  std::vector<std::string> argv = compile_argv(command, header, header + ".gch");
+  if (!argv.empty()) argv.insert(argv.begin() + 1, {"-x", "c++-header"});
+  return argv;
+}
+
 SubprocessExecutor::SubprocessExecutor(std::vector<ImplementationSpec> impls,
                                        SubprocessOptions options)
     : impls_(std::move(impls)), options_(std::move(options)),
-      pool_(static_cast<std::size_t>(
-          options_.max_inflight < 0 ? 0 : options_.max_inflight)) {
+      pch_builds_(telemetry::Registry::global().counter("exec.pch_builds")),
+      pch_failures_(telemetry::Registry::global().counter("exec.pch_failures")),
+      pch_compiles_(telemetry::Registry::global().counter("exec.pch_compiles")) {
   OMPFUZZ_CHECK(!impls_.empty(), "SubprocessExecutor needs implementations");
+  preludes_.resize(impls_.size());
   for (std::size_t i = 0; i < impls_.size(); ++i) {
-    OMPFUZZ_CHECK(!impls_[i].compile_command.empty(),
+    const std::vector<std::string> argv = tokenize(impls_[i].compile_command);
+    OMPFUZZ_CHECK(!argv.empty(),
                   "implementation '" + impls_[i].name + "' has no compile command");
     const bool inserted = impl_index_.emplace(impls_[i].name, i).second;
     OMPFUZZ_CHECK(inserted, "duplicate implementation: " + impls_[i].name);
+    if (is_gxx_like(argv.front())) {
+      preludes_[i].state = Prelude::State::Idle;
+      preludes_[i].header =
+          options_.work_dir + "/pch/" + impls_[i].name + "/prelude.hpp";
+    }
   }
-  ::mkdir(options_.work_dir.c_str(), 0755);
+  std::error_code ec;
+  std::filesystem::create_directories(options_.work_dir, ec);
+  if (ec) {
+    throw Error("cannot create work_dir '" + options_.work_dir +
+                "': " + ec.message());
+  }
+  pool_.emplace(static_cast<std::size_t>(
+      options_.max_inflight < 0 ? 0 : options_.max_inflight));
+}
+
+SubprocessExecutor::~SubprocessExecutor() {
+  closing_ = true;
+  pool_.reset();
+  std::error_code ignored;
+  std::filesystem::remove_all(options_.work_dir + "/pch", ignored);
 }
 
 std::vector<std::string> SubprocessExecutor::implementations() const {
@@ -83,19 +144,69 @@ std::string SubprocessExecutor::impl_identity(
          ";compile_timeout_ms=" + std::to_string(options_.compile_timeout_ms);
 }
 
-const ImplementationSpec& SubprocessExecutor::spec_for(
-    const std::string& impl_name) const {
+std::size_t SubprocessExecutor::index_of(const std::string& impl_name) const {
   const auto it = impl_index_.find(impl_name);
   OMPFUZZ_CHECK(it != impl_index_.end(), "unknown implementation: " + impl_name);
-  return impls_[it->second];
+  return it->second;
+}
+
+const ImplementationSpec& SubprocessExecutor::spec_for(
+    const std::string& impl_name) const {
+  return impls_[index_of(impl_name)];
+}
+
+void SubprocessExecutor::build_prelude(std::size_t i) {
+  const std::string& header = preludes_[i].header;  // fixed at construction
+  pch_builds_.add(1);
+  const auto fail = [&] {
+    pch_failures_.add(1);
+    const std::lock_guard<std::mutex> lock(cache_mutex_);
+    preludes_[i].state = Prelude::State::Failed;
+  };
+  try {
+    std::error_code ec;
+    std::filesystem::create_directories(
+        std::filesystem::path(header).parent_path(), ec);
+    std::ofstream out(header);
+    if (ec || !(out << emit::prelude()) || !out.flush()) {
+      fail();
+      return;
+    }
+    out.close();
+    ProcessJob job;
+    job.argv = prelude_build_argv(impls_[i].compile_command, header);
+    job.timeout_ms = options_.compile_timeout_ms;
+    std::uint64_t span_start_ns = 0;
+    if (telemetry::Tracer::instance().active()) {
+      span_start_ns = telemetry::Tracer::now_ns() + 1;
+    }
+    pool_->submit(std::move(job), [this, i, span_start_ns](ProcessResult build) {
+      if (span_start_ns != 0) {
+        telemetry::Tracer::instance().complete(
+            "compile", "compile", span_start_ns - 1, telemetry::Tracer::now_ns(),
+            "\"impl\":\"" + impls_[i].name + "\",\"pch\":true");
+      }
+      if (closing_) return;  // killed by the destructor, not a failed build
+      const bool ok = succeeded(build);
+      if (!ok) pch_failures_.add(1);
+      const std::lock_guard<std::mutex> lock(cache_mutex_);
+      preludes_[i].state = ok ? Prelude::State::Ready : Prelude::State::Failed;
+    });
+  } catch (...) {
+    // The PCH is an optimisation: its failure must not fail the compile
+    // that happened to start it.
+    fail();
+  }
 }
 
 std::shared_future<SubprocessExecutor::CompileOutcome>
-SubprocessExecutor::ensure_binary(const TestCase& test,
-                                  const ImplementationSpec& impl) {
+SubprocessExecutor::ensure_binary(const TestCase& test, std::size_t impl_index) {
+  const ImplementationSpec& impl = impls_[impl_index];
   const auto key = std::make_pair(test.program.fingerprint(), impl.name);
   auto promise = std::make_shared<std::promise<CompileOutcome>>();
   std::shared_future<CompileOutcome> future = promise->get_future().share();
+  std::string pch_header;  // non-empty: compile with the precompiled prelude
+  bool start_build = false;
   {
     const std::lock_guard<std::mutex> lock(cache_mutex_);
     if (const auto it = binary_cache_.find(key); it != binary_cache_.end()) {
@@ -122,7 +233,22 @@ SubprocessExecutor::ensure_binary(const TestCase& test,
     // source/binary files — and distinct keys compile concurrently, where
     // the old design serialized every emit+compile behind one mutex.
     binary_cache_.emplace(key, future);
+    // A ready PCH is used; a building or failed one is not waited for. The
+    // command's second distinct program starts the build: a one-program
+    // campaign would only pay for it.
+    Prelude& prelude = preludes_[impl_index];
+    if (prelude.state == Prelude::State::Ready) {
+      pch_header = prelude.header;
+    } else if (prelude.state == Prelude::State::Idle) {
+      if (!prelude.first_program) {
+        prelude.first_program = key.first;
+      } else if (*prelude.first_program != key.first) {
+        prelude.state = Prelude::State::Building;
+        start_build = true;
+      }
+    }
   }
+  if (start_build) build_prelude(impl_index);
 
   // The fingerprint is part of the file stem, not just the cache key: with
   // compiles now concurrent, two same-named programs with different bodies
@@ -156,11 +282,10 @@ SubprocessExecutor::ensure_binary(const TestCase& test,
       if (!out) throw Error("cannot write " + src);
       out << emit::emit_translation_unit(test.program);
     }
-    std::string command = replace_all(impl.compile_command, "{src}", src);
-    command = replace_all(command, "{bin}", bin);
     ProcessJob job;
-    job.argv = tokenize(command);
+    job.argv = compile_argv(impl.compile_command, src, bin, pch_header);
     job.timeout_ms = options_.compile_timeout_ms;
+    if (!pch_header.empty()) pch_compiles_.add(1);
     // The compile span covers submit-to-completion (queueing included — that
     // wait is real campaign latency), so the start is captured here and the
     // event emitted from the pool's completion callback.
@@ -172,7 +297,7 @@ SubprocessExecutor::ensure_binary(const TestCase& test,
                   telemetry::hex_fingerprint(test.program.fingerprint()) +
                   "\",\"impl\":\"" + impl.name + "\"";
     }
-    pool_.submit(std::move(job), [promise, bin, span_start_ns,
+    pool_->submit(std::move(job), [promise, bin, span_start_ns,
                                   span_args =
                                       std::move(span_args)](ProcessResult
                                                                 compile) {
@@ -186,7 +311,7 @@ SubprocessExecutor::ensure_binary(const TestCase& test,
       // Injected compile deadline: a finished compile is reclassified as
       // timed out (harness failure), exactly what a stalled machine does.
       if (inject_fault(FaultSite::CompileTimeout)) compile.timed_out = true;
-      if (!compile.timed_out && !compile.signaled && compile.exit_code == 0) {
+      if (succeeded(compile)) {
         outcome.bin = bin;
       } else {
         // No binary. A compiler diagnosing/rejecting the program (nonzero
@@ -253,7 +378,7 @@ std::vector<core::RunResult> SubprocessExecutor::run_batch(
   std::vector<std::shared_future<CompileOutcome>> binaries;
   binaries.reserve(impls.size());
   for (const auto& impl : impls) {
-    binaries.push_back(ensure_binary(test, spec_for(impl)));
+    binaries.push_back(ensure_binary(test, index_of(impl)));
   }
 
   // Stage 2 — run queue: each implementation's runs enter the pool as soon
@@ -284,7 +409,7 @@ std::vector<core::RunResult> SubprocessExecutor::run_batch(
       }
       job.timeout_ms = options_.run_timeout_ms;
       job.exclusive = !options_.concurrent_runs;
-      children[k] = pool_.submit(std::move(job));
+      children[k] = pool_->submit(std::move(job));
     }
   };
   std::vector<bool> submitted(impls.size(), false);

@@ -19,21 +19,42 @@
 // compiles on other workers can't inflate the self-reported times the
 // outlier analysis compares.
 //
+// Compiler fixed cost dominates a real campaign: every emitted TU opens with
+// the same emit::prelude() includes. So once a g++-like command (argv[0]'s
+// basename is `g++`, `g++-<ver>` or `<triple>-g++[-<ver>]`) is asked to
+// compile its second distinct program, the executor precompiles the prelude
+// with that command's own flags (`-x c++-header`, same pool, non-exclusive,
+// compile_timeout_ms) into <work_dir>/pch/<impl>/, and compiles later
+// programs with `-include <work_dir>/pch/<impl>/prelude.hpp` right after
+// argv[0]. The TU stays standalone (its own #includes become no-ops behind
+// the header guards) and the binaries are byte-identical, so identities,
+// compile-failure attribution and crash/hang isolation are unchanged.
+// Compiles never wait for the PCH: one submitted while it builds, or after
+// its build failed, compiles plainly. A one-program campaign builds nothing.
+// The PCH (~17 MB per command) lives as long as the executor; the
+// destructor removes <work_dir>/pch/. Registry counters: exec.pch_builds,
+// exec.pch_failures, exec.pch_compiles (compiles that used a PCH).
+//
 // On a machine with several OpenMP toolchains installed this class runs the
 // paper's experiment verbatim; with a single compiler, optimization levels
 // serve as implementation proxies (same compile-run-compare pipeline, one
 // toolchain).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "harness/async_process.hpp"
 #include "harness/executor.hpp"
 #include "support/config.hpp"
+#include "support/telemetry.hpp"
 
 namespace ompfuzz::harness {
 
@@ -56,10 +77,38 @@ struct SubprocessOptions {
 /// View of the [executor] config-file section as SubprocessOptions.
 [[nodiscard]] SubprocessOptions to_subprocess_options(const ExecutorConfig& cfg);
 
+/// True when `program` (a command's argv[0]) names g++ itself: its basename
+/// is `g++`, `g++-<ver>` or `<triple>-g++[-<ver>]`. Only such commands get a
+/// precompiled prelude; anything else (wrappers, stub scripts reading their
+/// arguments by position) compiles exactly as written.
+[[nodiscard]] bool is_gxx_like(const std::string& program);
+
+/// The argv of one compile: `command` split on spaces, then {src} and {bin}
+/// substituted inside each token, so paths may contain spaces. A non-empty
+/// `pch_header` adds `-include <pch_header>` right after argv[0].
+[[nodiscard]] std::vector<std::string> compile_argv(
+    const std::string& command, const std::string& src, const std::string& bin,
+    const std::string& pch_header = "");
+
+/// The argv that precompiles `header` into `<header>.gch` with `command`'s
+/// own flags: compile_argv(command, header, header + ".gch") with
+/// `-x c++-header` right after argv[0].
+[[nodiscard]] std::vector<std::string> prelude_build_argv(
+    const std::string& command, const std::string& header);
+
 class SubprocessExecutor final : public Executor {
  public:
+  /// Creates work_dir (and any missing parents); throws ompfuzz::Error
+  /// naming the directory when it cannot.
   SubprocessExecutor(std::vector<ImplementationSpec> impls,
                      SubprocessOptions options);
+  /// Stops the pool (killing any in-flight PCH build), then removes
+  /// <work_dir>/pch/.
+  ~SubprocessExecutor() override;
+
+  /// Pool callbacks hold `this`.
+  SubprocessExecutor(const SubprocessExecutor&) = delete;
+  SubprocessExecutor& operator=(const SubprocessExecutor&) = delete;
 
   [[nodiscard]] core::RunResult run(const TestCase& test, std::size_t input_index,
                                     const std::string& impl_name) override;
@@ -84,7 +133,7 @@ class SubprocessExecutor final : public Executor {
   /// implementation and drops the binary-cache futures, so a reduction that
   /// stores each candidate's verdict can bound work_dir to the candidates
   /// still in flight. Entries whose compile has not finished are left alone
-  /// (their submitter still awaits the future).
+  /// (their submitter still awaits the future). The PCH is not touched.
   void reclaim_artifacts(std::uint64_t program_fingerprint) override;
 
   /// The binary cache hands out per-key futures behind a short-lived mutex;
@@ -102,11 +151,26 @@ class SubprocessExecutor final : public Executor {
     bool harness_failure = false;
   };
 
-  /// Returns the future compile outcome for (test, impl), submitting
+  /// Per-implementation precompiled-prelude state, guarded by cache_mutex_.
+  struct Prelude {
+    enum class State { Unsupported, Idle, Building, Ready, Failed };
+    State state = State::Unsupported;
+    /// The first program this command compiled; a different one triggers
+    /// the build.
+    std::optional<std::uint64_t> first_program;
+    std::string header;  ///< <work_dir>/pch/<impl>/prelude.hpp
+  };
+
+  /// Returns the future compile outcome for (test, impls_[impl]), submitting
   /// emission + compilation to the pool on first request.
   [[nodiscard]] std::shared_future<CompileOutcome> ensure_binary(
-      const TestCase& test, const ImplementationSpec& impl);
+      const TestCase& test, std::size_t impl);
 
+  /// Writes impls_[impl]'s prelude header and submits its PCH build. Any
+  /// failure, thrown or not, marks the prelude Failed and is counted.
+  void build_prelude(std::size_t impl);
+
+  [[nodiscard]] std::size_t index_of(const std::string& impl_name) const;
   [[nodiscard]] const ImplementationSpec& spec_for(
       const std::string& impl_name) const;
 
@@ -118,8 +182,14 @@ class SubprocessExecutor final : public Executor {
   /// name -> index into impls_, built once so run() doesn't linear-scan.
   std::map<std::string, std::size_t> impl_index_;
   SubprocessOptions options_;
-  /// Guards binary_cache_ only — insertion of the future, not the compile.
+  /// Guards binary_cache_, artifact_stems_ and preludes_ — insertion of the
+  /// future, not the compile.
   std::mutex cache_mutex_;
+  /// Parallel to impls_.
+  std::vector<Prelude> preludes_;
+  /// Set by the destructor: PCH builds the pool kills on shutdown are not
+  /// failures.
+  std::atomic<bool> closing_{false};
   /// (program fingerprint, impl) -> future compile outcome.
   std::map<std::pair<std::uint64_t, std::string>,
            std::shared_future<CompileOutcome>>
@@ -128,7 +198,13 @@ class SubprocessExecutor final : public Executor {
   /// "<stem>.bin"), recorded at submission so reclaim_artifacts can unlink
   /// without re-deriving paths.
   std::map<std::pair<std::uint64_t, std::string>, std::string> artifact_stems_;
-  AsyncProcessPool pool_;
+  telemetry::Counter& pch_builds_;
+  telemetry::Counter& pch_failures_;
+  telemetry::Counter& pch_compiles_;
+  /// Reset first by the destructor: in-flight children are killed and every
+  /// completion callback (they touch the members above) has run before
+  /// <work_dir>/pch/ is removed.
+  std::optional<AsyncProcessPool> pool_;
 };
 
 }  // namespace ompfuzz::harness

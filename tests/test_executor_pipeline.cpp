@@ -1,7 +1,8 @@
 // Tests for the batched execution pipeline: Executor::run_batch default-vs-
 // overridden equivalence (Sim and Subprocess backends, serial and
 // multithreaded campaigns), the quiet-timing guarantee (timed runs never
-// overlap another child), output classification, and the [executor] config
+// overlap another child), output classification, work_dir handling, the
+// precompiled prelude of g++-like commands, and the [executor] config
 // section.
 #include <gtest/gtest.h>
 
@@ -9,15 +10,21 @@
 #include <unistd.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/generator.hpp"
+#include "emit/codegen.hpp"
 #include "fp/input_gen.hpp"
+#include "harness/async_process.hpp"
 #include "harness/campaign.hpp"
 #include "harness/sim_executor.hpp"
 #include "harness/subprocess_executor.hpp"
@@ -543,6 +550,295 @@ TEST(SubprocessClassify, UnknownImplementationThrows) {
   const TestCase test = campaign.make_test_case(0);
   EXPECT_THROW((void)exec.run(test, 0, "missing"), Error);
   EXPECT_THROW((void)exec.run(test, 99, "only"), Error);
+}
+
+// ------------------------------------------------------------ work_dir ----
+
+TEST(SubprocessWorkDir, PathWithSpaceCompilesAndRuns) {
+  // The template is tokenized before {src}/{bin} are substituted, so a
+  // work_dir containing a space stays one argv entry.
+  const std::string dir = temp_dir();
+  std::vector<ImplementationSpec> impls = {
+      {"cc", make_stub_compiler(dir, "cc", "echo 3.5\necho \"time_us: 10\"\n") +
+                 " {src} {bin}",
+       ""},
+  };
+  SubprocessOptions opt;
+  opt.work_dir = dir + "/work dir";
+  SubprocessExecutor exec(impls, opt);
+  Campaign campaign(stub_campaign_config(1, 1), exec);
+  const auto result = exec.run(campaign.make_test_case(0), 0, "cc");
+  EXPECT_EQ(result.status, core::RunStatus::Ok);
+  EXPECT_EQ(result.output, 3.5);
+}
+
+TEST(SubprocessWorkDir, NestedWorkDirIsCreated) {
+  const std::string dir = temp_dir();
+  std::vector<ImplementationSpec> impls = {
+      {"cc", make_stub_compiler(dir, "cc", "echo 1\necho \"time_us: 10\"\n") +
+                 " {src} {bin}",
+       ""},
+  };
+  SubprocessOptions opt;
+  opt.work_dir = dir + "/missing/parent/work";
+  SubprocessExecutor exec(impls, opt);
+  EXPECT_TRUE(std::filesystem::is_directory(opt.work_dir));
+  Campaign campaign(stub_campaign_config(1, 1), exec);
+  EXPECT_EQ(exec.run(campaign.make_test_case(0), 0, "cc").status,
+            core::RunStatus::Ok);
+}
+
+TEST(SubprocessWorkDir, UncreatableWorkDirThrowsAtConstruction) {
+  const std::string dir = temp_dir();
+  std::ofstream(dir + "/plain_file") << "x";
+  SubprocessOptions opt;
+  opt.work_dir = dir + "/plain_file/work";  // a regular file as parent
+  try {
+    SubprocessExecutor exec({{"cc", "/bin/true {src} {bin}", ""}}, opt);
+    FAIL() << "constructing over an uncreatable work_dir did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(opt.work_dir), std::string::npos)
+        << e.what();
+  }
+}
+
+// ------------------------------------------------- precompiled prelude ----
+
+TEST(PrecompiledPrelude, OnlyGxxLikeCommandsQualify) {
+  for (const char* yes :
+       {"g++", "/usr/bin/g++", "g++-12", "g++-12.2", "x86_64-linux-gnu-g++",
+        "/usr/local/bin/aarch64-linux-gnu-g++-13"}) {
+    EXPECT_TRUE(is_gxx_like(yes)) << yes;
+  }
+  for (const char* no : {"gcc", "clang++", "c++", "cc.sh", "/tmp/stub_cc.sh",
+                         "g++.sh", "g++-wrapper", "-g++", "ccache", "xg++"}) {
+    EXPECT_FALSE(is_gxx_like(no)) << no;
+  }
+}
+
+TEST(PrecompiledPrelude, ArgvSubstitutesInsideTokens) {
+  const std::string cmd = "g++ -fopenmp  -O2 {src} -o {bin}";
+  EXPECT_EQ(compile_argv(cmd, "/a b/t.cpp", "/a b/t.bin"),
+            (std::vector<std::string>{"g++", "-fopenmp", "-O2", "/a b/t.cpp",
+                                      "-o", "/a b/t.bin"}));
+  EXPECT_EQ(compile_argv(cmd, "t.cpp", "t.bin", "/w/pch/x/prelude.hpp"),
+            (std::vector<std::string>{"g++", "-include", "/w/pch/x/prelude.hpp",
+                                      "-fopenmp", "-O2", "t.cpp", "-o", "t.bin"}));
+  EXPECT_EQ(prelude_build_argv(cmd, "/w/pch/x/prelude.hpp"),
+            (std::vector<std::string>{"g++", "-x", "c++-header", "-fopenmp", "-O2",
+                                      "/w/pch/x/prelude.hpp", "-o",
+                                      "/w/pch/x/prelude.hpp.gch"}));
+}
+
+bool have_gxx() { return std::system("g++ --version > /dev/null 2>&1") == 0; }
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// The first `n` programs of a real-g++-sized campaign stream (trip counts
+/// <= 10), optionally with every feature gate on.
+std::vector<TestCase> gxx_stream(int n, bool all_gates) {
+  CampaignConfig config = stub_campaign_config(n, 1);
+  config.inputs_per_program = 1;
+  config.generator.max_loop_trip_count = 10;
+  if (all_gates) {
+    config.generator.enable_features("atomic,single,master,schedule,rangeidx");
+  }
+  SimExecutor exec;
+  const Campaign campaign(config, exec);
+  std::vector<TestCase> tests;
+  for (int k = 0; k < n; ++k) tests.push_back(campaign.make_test_case(k));
+  return tests;
+}
+
+std::uint64_t counter_value(const char* name) {
+  return telemetry::Registry::global().counter(name).value();
+}
+
+/// Polls `name` until it reaches `target` or 60 s pass.
+bool await_counter(const char* name, std::uint64_t target) {
+  for (int i = 0; i < 6000 && counter_value(name) < target; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return counter_value(name) >= target;
+}
+
+std::vector<std::string> files_with_extension(const std::string& root,
+                                              const std::string& ext) {
+  std::vector<std::string> out;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(root)) {
+    if (entry.path().extension() == ext) out.push_back(entry.path().string());
+  }
+  return out;
+}
+
+TEST(PrecompiledPrelude, BinariesAreByteIdenticalToPlainCompiles) {
+  if (!have_gxx()) GTEST_SKIP() << "no g++ available";
+  std::vector<TestCase> programs = gxx_stream(2, false);
+  for (auto& test : gxx_stream(2, true)) programs.push_back(std::move(test));
+  AsyncProcessPool pool(4);
+  for (const char* level : {"-O0", "-O2", "-O3"}) {
+    SCOPED_TRACE(level);
+    const std::string dir = temp_dir();
+    const std::string cmd = std::string("g++ -fopenmp ") + level + " {src} -o {bin}";
+    const std::string header = dir + "/prelude.hpp";
+    std::ofstream(header) << emit::prelude();
+    const ProcessResult build = run_process(prelude_build_argv(cmd, header), 120'000);
+    ASSERT_EQ(build.exit_code, 0);
+    // From here on g++ can only succeed by loading the PCH: parsing the
+    // header text instead would hit the #error.
+    std::ofstream(header) << "#error \"precompiled prelude not used\"\n";
+    std::vector<std::future<ProcessResult>> compiles;
+    for (std::size_t p = 0; p < programs.size(); ++p) {
+      const std::string stem = dir + "/p" + std::to_string(p);
+      std::ofstream(stem + ".cpp") << emit::emit_translation_unit(programs[p].program);
+      ProcessJob plain;
+      plain.argv = compile_argv(cmd, stem + ".cpp", stem + "_plain.bin");
+      plain.timeout_ms = 120'000;
+      ProcessJob with_pch = plain;
+      with_pch.argv = compile_argv(cmd, stem + ".cpp", stem + "_pch.bin", header);
+      compiles.push_back(pool.submit(std::move(plain)));
+      compiles.push_back(pool.submit(std::move(with_pch)));
+    }
+    for (auto& compile : compiles) EXPECT_EQ(compile.get().exit_code, 0);
+    for (std::size_t p = 0; p < programs.size(); ++p) {
+      const std::string stem = dir + "/p" + std::to_string(p);
+      const std::string plain = read_file(stem + "_plain.bin");
+      EXPECT_FALSE(plain.empty()) << programs[p].program.name();
+      EXPECT_EQ(plain, read_file(stem + "_pch.bin")) << programs[p].program.name();
+    }
+  }
+}
+
+/// Statuses of a `programs`-program, one-implementation campaign compiled
+/// by `command`, plus the PCH counters it moved.
+struct PchCampaign {
+  std::vector<core::RunStatus> statuses;
+  std::uint64_t builds = 0;
+  std::uint64_t failures = 0;
+  bool pch_dir_left = false;
+};
+
+PchCampaign run_pch_campaign(const std::string& command, int programs) {
+  PchCampaign out;
+  const std::string dir = temp_dir();
+  const std::uint64_t builds0 = counter_value("exec.pch_builds");
+  const std::uint64_t failures0 = counter_value("exec.pch_failures");
+  {
+    SubprocessOptions opt;
+    opt.work_dir = dir + "/work";
+    opt.max_inflight = 4;
+    SubprocessExecutor exec({{"cc", command, ""}}, opt);
+    CampaignConfig config = stub_campaign_config(programs, 1);
+    config.inputs_per_program = 1;
+    config.generator.max_loop_trip_count = 10;
+    Campaign campaign(config, exec);
+    for (const auto& outcome : campaign.run().outcomes) {
+      for (const auto& run : outcome.runs) out.statuses.push_back(run.status);
+    }
+    out.builds = counter_value("exec.pch_builds") - builds0;
+    out.failures = counter_value("exec.pch_failures") - failures0;
+  }
+  out.pch_dir_left = std::filesystem::exists(dir + "/work/pch");
+  return out;
+}
+
+/// A command that is not g++-like but compiles exactly as g++ does.
+std::string plain_gxx_wrapper() {
+  const std::string path = temp_dir() + "/plain_cxx.sh";
+  write_script(path, "#!/bin/sh\nexec g++ \"$@\"\n");
+  return path;
+}
+
+TEST(PrecompiledPrelude, CampaignBuildsOnePchAndKeepsStatuses) {
+  if (!have_gxx()) GTEST_SKIP() << "no g++ available";
+  const PchCampaign gxx = run_pch_campaign("g++ -fopenmp -O0 {src} -o {bin}", 3);
+  EXPECT_EQ(gxx.builds, 1u);
+  EXPECT_EQ(gxx.failures, 0u);
+  EXPECT_FALSE(gxx.pch_dir_left);
+  const PchCampaign plain =
+      run_pch_campaign(plain_gxx_wrapper() + " -fopenmp -O0 {src} -o {bin}", 3);
+  EXPECT_EQ(plain.builds, 0u) << "a non-g++-like command got a PCH";
+  EXPECT_EQ(gxx.statuses, plain.statuses);
+  EXPECT_EQ(gxx.statuses.size(), 3u);
+}
+
+TEST(PrecompiledPrelude, OneProgramCampaignBuildsNoPch) {
+  if (!have_gxx()) GTEST_SKIP() << "no g++ available";
+  const PchCampaign one = run_pch_campaign("g++ -fopenmp -O0 {src} -o {bin}", 1);
+  EXPECT_EQ(one.builds, 0u);
+  EXPECT_EQ(one.statuses, std::vector<core::RunStatus>{core::RunStatus::Ok});
+}
+
+TEST(PrecompiledPrelude, FailedBuildFallsBackToPlainCompiles) {
+  if (!have_gxx()) GTEST_SKIP() << "no g++ available";
+  // A wrapper NAMED g++ (so it qualifies) that refuses to build headers.
+  const std::string dir = temp_dir();
+  write_script(dir + "/g++",
+               "#!/bin/sh\n"
+               "for arg in \"$@\"; do\n"
+               "  [ \"$arg\" = c++-header ] && exit 1\n"
+               "done\n"
+               "exec g++ \"$@\"\n");
+  const std::string flags = " -fopenmp -O0 {src} -o {bin}";
+  const std::vector<TestCase> programs = gxx_stream(3, false);
+  const auto run_all = [&](const std::string& command, bool await_failure) {
+    SubprocessOptions opt;
+    opt.work_dir = temp_dir() + "/work";
+    SubprocessExecutor exec({{"cc", command, ""}}, opt);
+    const std::uint64_t failures0 = counter_value("exec.pch_failures");
+    std::vector<core::RunResult> results;
+    for (std::size_t p = 0; p < programs.size(); ++p) {
+      results.push_back(exec.run(programs[p], 0, "cc"));
+      // The second program started the build; let it fail before the third.
+      if (await_failure && p == 1) {
+        EXPECT_TRUE(await_counter("exec.pch_failures", failures0 + 1));
+      }
+    }
+    return results;
+  };
+  const std::uint64_t builds0 = counter_value("exec.pch_builds");
+  const std::uint64_t compiles0 = counter_value("exec.pch_compiles");
+  const auto fallback = run_all(dir + "/g++" + flags, true);
+  EXPECT_EQ(counter_value("exec.pch_builds") - builds0, 1u);
+  EXPECT_EQ(counter_value("exec.pch_compiles") - compiles0, 0u)
+      << "a compile used a PCH whose build failed";
+  const auto plain = run_all(plain_gxx_wrapper() + flags, false);
+  ASSERT_EQ(fallback.size(), plain.size());
+  for (std::size_t p = 0; p < plain.size(); ++p) {
+    EXPECT_EQ(fallback[p].status, core::RunStatus::Ok);
+    EXPECT_EQ(fallback[p].status, plain[p].status);
+  }
+}
+
+TEST(PrecompiledPrelude, LaterCompilesUseThePchAndNoGchOutlivesTheExecutor) {
+  if (!have_gxx()) GTEST_SKIP() << "no g++ available";
+  const std::vector<TestCase> programs = gxx_stream(24, false);
+  const std::string work = temp_dir() + "/work";
+  const std::uint64_t compiles0 = counter_value("exec.pch_compiles");
+  {
+    SubprocessOptions opt;
+    opt.work_dir = work;
+    SubprocessExecutor exec({{"cc", "g++ -fopenmp -O0 {src} -o {bin}", ""}}, opt);
+    // Programs run one at a time until one compiles with the PCH (the build
+    // starts at the second and no compile waits for it).
+    std::size_t p = 0;
+    while (p < programs.size() && counter_value("exec.pch_compiles") == compiles0) {
+      EXPECT_EQ(exec.run(programs[p++], 0, "cc").status, core::RunStatus::Ok);
+    }
+    ASSERT_GT(counter_value("exec.pch_compiles"), compiles0)
+        << "no compile used the PCH in " << p << " programs";
+    EXPECT_EQ(files_with_extension(work, ".gch"),
+              std::vector<std::string>{work + "/pch/cc/prelude.hpp.gch"});
+  }
+  EXPECT_TRUE(files_with_extension(work, ".gch").empty());
+  EXPECT_FALSE(std::filesystem::exists(work + "/pch"));
+  EXPECT_FALSE(files_with_extension(work, ".bin").empty())
+      << "the destructor removed more than the PCH";
 }
 
 // ------------------------------------------------------------- config ------
