@@ -312,5 +312,10 @@ int main(int argc, char** argv) {
   } catch (const ompfuzz::ConfigError& e) {
     std::fprintf(stderr, "%s\n", e.what());  // "config error: ..."
     return 2;
+  } catch (const ompfuzz::Error& e) {
+    // Valid config the environment cannot honour, e.g. an uncreatable
+    // [store] dir or work_dir.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
 }

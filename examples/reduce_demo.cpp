@@ -26,9 +26,12 @@
 #include "harness/report.hpp"
 #include "harness/sim_executor.hpp"
 #include "reduce/campaign_reduce.hpp"
+#include "support/error.hpp"
 #include "support/result_store.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run_demo(int argc, char** argv) {
   using namespace ompfuzz;
 
   CampaignConfig cfg;
@@ -111,4 +114,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_demo(argc, argv);
+  } catch (const ompfuzz::Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -288,57 +288,9 @@ PruneResult prune_unused_vars(const Program& program) {
   out.program.set_comp(map[program.comp()]);
   out.program.set_name(program.name());
 
-  // Rebuild the body through clone_remap, filtering pruned variables out of
-  // data-sharing clauses on the way (a clause is a mention, not a use — a
-  // variable only named there goes away together with its clause entry).
-  const std::function<Block(const Block&)> rebuild = [&](const Block& block) {
-    Block result;
-    result.stmts.reserve(block.stmts.size());
-    for (const auto& s : block.stmts) {
-      switch (s->kind) {
-        case Stmt::Kind::Assign:
-        case Stmt::Kind::Decl:
-          result.stmts.push_back(s->clone_remap(map));
-          break;
-        case Stmt::Kind::If:
-          result.stmts.push_back(
-              Stmt::if_block(s->cond.clone_remap(map), rebuild(s->body)));
-          break;
-        case Stmt::Kind::For:
-          result.stmts.push_back(Stmt::for_loop(
-              map[s->loop_var], s->loop_bound->clone_remap(map),
-              rebuild(s->body), s->omp_for, s->schedule, s->schedule_chunk));
-          break;
-        case Stmt::Kind::OmpParallel: {
-          OmpClauses c;
-          for (VarId v : s->clauses.privates) {
-            if (used[v]) c.privates.push_back(map[v]);
-          }
-          for (VarId v : s->clauses.firstprivates) {
-            if (used[v]) c.firstprivates.push_back(map[v]);
-          }
-          c.reduction = s->clauses.reduction;
-          c.num_threads = s->clauses.num_threads;
-          result.stmts.push_back(Stmt::omp_parallel(std::move(c), rebuild(s->body)));
-          break;
-        }
-        case Stmt::Kind::OmpCritical:
-          result.stmts.push_back(Stmt::omp_critical(rebuild(s->body)));
-          break;
-        case Stmt::Kind::OmpAtomic:
-          result.stmts.push_back(s->clone_remap(map));
-          break;
-        case Stmt::Kind::OmpSingle:
-          result.stmts.push_back(Stmt::omp_single(rebuild(s->body)));
-          break;
-        case Stmt::Kind::OmpMaster:
-          result.stmts.push_back(Stmt::omp_master(rebuild(s->body)));
-          break;
-      }
-    }
-    return result;
-  };
-  out.program.body() = rebuild(program.body());
+  // clone_remap drops the clause entries of pruned variables: a clause is a
+  // mention, not a use, so a variable only named there goes away with it.
+  out.program.body() = program.body().clone_remap(map);
   return out;
 }
 

@@ -115,6 +115,19 @@ VarId remap_var(std::span<const VarId> map, VarId id) {
   return map[id];
 }
 
+/// A clause names a variable without using it, so an entry whose variable
+/// maps to kInvalidVar is dropped instead of rejected.
+std::vector<VarId> remap_clause_vars(std::span<const VarId> map,
+                                     const std::vector<VarId>& ids) {
+  std::vector<VarId> out;
+  out.reserve(ids.size());
+  for (VarId id : ids) {
+    OMPFUZZ_CHECK(id < map.size(), "clone_remap: clause variable out of range");
+    if (map[id] != kInvalidVar) out.push_back(map[id]);
+  }
+  return out;
+}
+
 }  // namespace
 
 StmtPtr Stmt::clone_remap(std::span<const VarId> map) const {
@@ -134,12 +147,8 @@ StmtPtr Stmt::clone_remap(std::span<const VarId> map) const {
                       body.clone_remap(map), omp_for, schedule, schedule_chunk);
     case Kind::OmpParallel: {
       OmpClauses c;
-      c.privates.reserve(clauses.privates.size());
-      for (VarId v : clauses.privates) c.privates.push_back(remap_var(map, v));
-      c.firstprivates.reserve(clauses.firstprivates.size());
-      for (VarId v : clauses.firstprivates) {
-        c.firstprivates.push_back(remap_var(map, v));
-      }
+      c.privates = remap_clause_vars(map, clauses.privates);
+      c.firstprivates = remap_clause_vars(map, clauses.firstprivates);
       c.reduction = clauses.reduction;
       c.num_threads = clauses.num_threads;
       return omp_parallel(std::move(c), body.clone_remap(map));

@@ -35,7 +35,8 @@ struct Block {
 
   [[nodiscard]] Block clone() const;
   /// Deep copy with every VarId (targets, refs, loop vars, clause lists)
-  /// translated through `map`; see Expr::clone_remap.
+  /// translated through `map`; see Expr::clone_remap. A clause-list entry
+  /// that maps to kInvalidVar is dropped; any other unmapped id throws.
   [[nodiscard]] Block clone_remap(std::span<const VarId> map) const;
   [[nodiscard]] bool empty() const noexcept { return stmts.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return stmts.size(); }
@@ -119,6 +120,7 @@ class Stmt {
   [[nodiscard]] static StmtPtr omp_master(Block body);
 
   [[nodiscard]] StmtPtr clone() const;
+  /// See Block::clone_remap.
   [[nodiscard]] StmtPtr clone_remap(std::span<const VarId> map) const;
 
  private:

@@ -78,15 +78,10 @@ class Executor {
     return {};
   }
 
-  /// Releases any on-disk artifacts and cached compile state this executor
-  /// still holds for the program with `program_fingerprint` (the subprocess
-  /// backend keeps one emitted source + compiled binary per implementation
-  /// in its work_dir, plus a binary-cache future). Callers invoke it once a
-  /// program's verdicts are safely in the result store — a long reduction
-  /// would otherwise leave one source+binary per candidate per impl on disk.
-  /// Must not be called while runs of that program are still in flight.
-  /// Reclaiming is always safe for correctness: a later request for the same
-  /// program re-emits and re-compiles. Default: nothing to reclaim.
+  /// No-op hook with no in-tree caller: artifact lifetime is private to
+  /// each backend (the subprocess backend unlinks what a run_batch call
+  /// compiled before it returns). Kept only because the end-to-end
+  /// benchmark's timing decorator overrides it; it goes with that override.
   virtual void reclaim_artifacts(std::uint64_t program_fingerprint) {
     (void)program_fingerprint;
   }

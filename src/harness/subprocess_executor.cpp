@@ -4,7 +4,6 @@
 
 #include <cctype>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -160,7 +159,7 @@ void SubprocessExecutor::build_prelude(std::size_t i) {
   pch_builds_.add(1);
   const auto fail = [&] {
     pch_failures_.add(1);
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
+    const std::lock_guard<std::mutex> lock(prelude_mutex_);
     preludes_[i].state = Prelude::State::Failed;
   };
   try {
@@ -189,7 +188,7 @@ void SubprocessExecutor::build_prelude(std::size_t i) {
       if (closing_) return;  // killed by the destructor, not a failed build
       const bool ok = succeeded(build);
       if (!ok) pch_failures_.add(1);
-      const std::lock_guard<std::mutex> lock(cache_mutex_);
+      const std::lock_guard<std::mutex> lock(prelude_mutex_);
       preludes_[i].state = ok ? Prelude::State::Ready : Prelude::State::Failed;
     });
   } catch (...) {
@@ -199,50 +198,50 @@ void SubprocessExecutor::build_prelude(std::size_t i) {
   }
 }
 
-std::shared_future<SubprocessExecutor::CompileOutcome>
-SubprocessExecutor::ensure_binary(const TestCase& test, std::size_t impl_index) {
+/// The files and compiles one run_batch call owns. The destructor waits for
+/// every compile still pending (only an exception leaves one), then unlinks
+/// each stem's source and binary: nothing a batch compiles outlives it, on
+/// any path, and no late `.bin` lands after the unlink.
+struct SubprocessExecutor::BatchArtifacts {
+  std::vector<std::string> stems;
+  std::vector<std::future<CompileOutcome>> compiles;
+
+  BatchArtifacts() = default;
+  BatchArtifacts(const BatchArtifacts&) = delete;
+  BatchArtifacts& operator=(const BatchArtifacts&) = delete;
+  ~BatchArtifacts() {
+    for (auto& compile : compiles) {
+      if (compile.valid()) compile.wait();
+    }
+    for (const auto& stem : stems) {
+      // Best-effort: a compile that never produced the binary (rejection,
+      // harness failure) simply has nothing to unlink.
+      (void)::unlink((stem + ".cpp").c_str());
+      (void)::unlink((stem + ".bin").c_str());
+    }
+  }
+};
+
+std::future<SubprocessExecutor::CompileOutcome>
+SubprocessExecutor::submit_compile(const TestCase& test, std::size_t impl_index,
+                                   const std::string& stem) {
   const ImplementationSpec& impl = impls_[impl_index];
-  const auto key = std::make_pair(test.program.fingerprint(), impl.name);
   auto promise = std::make_shared<std::promise<CompileOutcome>>();
-  std::shared_future<CompileOutcome> future = promise->get_future().share();
+  std::future<CompileOutcome> future = promise->get_future();
   std::string pch_header;  // non-empty: compile with the precompiled prelude
   bool start_build = false;
   {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    if (const auto it = binary_cache_.find(key); it != binary_cache_.end()) {
-      // A cached compile that the HARNESS failed to run (spawn failure,
-      // compile timeout) must not satisfy later requests: the retry layer
-      // re-dispatches exactly such triples, and serving the stale failure
-      // would make every retry fail forever. Evict it and recompile.
-      // Genuine rejections (compiler diagnosed the program) stay cached.
-      bool stale_failure = false;
-      if (it->second.wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready) {
-        try {
-          stale_failure = it->second.get().harness_failure;
-        } catch (...) {
-          stale_failure = true;  // poisoned promise: retry the compile
-        }
-      }
-      if (!stale_failure) return it->second;
-      binary_cache_.erase(it);
-      artifact_stems_.erase(key);
-    }
-    // Insert the future before compiling: a second thread asking for the
-    // same (program, impl) waits on it instead of clobbering the same
-    // source/binary files — and distinct keys compile concurrently, where
-    // the old design serialized every emit+compile behind one mutex.
-    binary_cache_.emplace(key, future);
     // A ready PCH is used; a building or failed one is not waited for. The
     // command's second distinct program starts the build: a one-program
     // campaign would only pay for it.
+    const std::lock_guard<std::mutex> lock(prelude_mutex_);
     Prelude& prelude = preludes_[impl_index];
     if (prelude.state == Prelude::State::Ready) {
       pch_header = prelude.header;
     } else if (prelude.state == Prelude::State::Idle) {
       if (!prelude.first_program) {
-        prelude.first_program = key.first;
-      } else if (*prelude.first_program != key.first) {
+        prelude.first_program = test.program.fingerprint();
+      } else if (*prelude.first_program != test.program.fingerprint()) {
         prelude.state = Prelude::State::Building;
         start_build = true;
       }
@@ -250,83 +249,63 @@ SubprocessExecutor::ensure_binary(const TestCase& test, std::size_t impl_index) 
   }
   if (start_build) build_prelude(impl_index);
 
-  // The fingerprint is part of the file stem, not just the cache key: with
-  // compiles now concurrent, two same-named programs with different bodies
-  // would otherwise race on the same source/binary paths.
-  char fp_hex[17];
-  std::snprintf(fp_hex, sizeof(fp_hex), "%016llx",
-                static_cast<unsigned long long>(test.program.fingerprint()));
-  const std::string stem = options_.work_dir + "/" + test.program.name() +
-                           "_" + fp_hex + "_" + impl.name;
-  const std::string src = stem + ".cpp";
-  const std::string bin = stem + ".bin";
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    artifact_stems_[key] = stem;
-  }
   // Injected compile-spawn failure: the harness could not even launch the
   // compiler. Same CompileOutcome shape as a real spawn failure, so the
-  // retry layer (which evicts harness-failed compiles above) exercises the
-  // exact recovery path a loaded machine would need.
+  // campaign's retry layer exercises the exact recovery path a loaded
+  // machine would need.
   if (inject_fault(FaultSite::CompileSpawn)) {
     CompileOutcome outcome;
     outcome.harness_failure = true;
     promise->set_value(std::move(outcome));
     return future;
   }
-  // Any failure from here on must poison the cached promise, or every later
-  // requester of this key would block forever on a future nobody fulfills.
-  try {
-    {
-      std::ofstream out(src);
-      if (!out) throw Error("cannot write " + src);
-      out << emit::emit_translation_unit(test.program);
-    }
-    ProcessJob job;
-    job.argv = compile_argv(impl.compile_command, src, bin, pch_header);
-    job.timeout_ms = options_.compile_timeout_ms;
-    if (!pch_header.empty()) pch_compiles_.add(1);
-    // The compile span covers submit-to-completion (queueing included — that
-    // wait is real campaign latency), so the start is captured here and the
-    // event emitted from the pool's completion callback.
-    std::string span_args;
-    std::uint64_t span_start_ns = 0;
-    if (telemetry::Tracer::instance().active()) {
-      span_start_ns = telemetry::Tracer::now_ns() + 1;
-      span_args = "\"fingerprint\":\"" +
-                  telemetry::hex_fingerprint(test.program.fingerprint()) +
-                  "\",\"impl\":\"" + impl.name + "\"";
-    }
-    pool_->submit(std::move(job), [promise, bin, span_start_ns,
-                                  span_args =
-                                      std::move(span_args)](ProcessResult
-                                                                compile) {
-      if (span_start_ns != 0) {
-        telemetry::Tracer::instance().complete("compile", "compile",
-                                               span_start_ns - 1,
-                                               telemetry::Tracer::now_ns(),
-                                               span_args);
-      }
-      CompileOutcome outcome;
-      // Injected compile deadline: a finished compile is reclassified as
-      // timed out (harness failure), exactly what a stalled machine does.
-      if (inject_fault(FaultSite::CompileTimeout)) compile.timed_out = true;
-      if (succeeded(compile)) {
-        outcome.bin = bin;
-      } else {
-        // No binary. A compiler diagnosing/rejecting the program (nonzero
-        // exit with output) is a real observation; a timeout or an
-        // unspawnable compile (exit 127, no output) is the harness failing.
-        outcome.harness_failure =
-            compile.timed_out ||
-            (compile.exit_code == 127 && compile.output.empty());
-      }
-      promise->set_value(std::move(outcome));
-    });
-  } catch (...) {
-    promise->set_exception(std::current_exception());
-    throw;
+  const std::string src = stem + ".cpp";
+  const std::string bin = stem + ".bin";
+  {
+    std::ofstream out(src);
+    if (!out) throw Error("cannot write " + src);
+    out << emit::emit_translation_unit(test.program);
   }
+  ProcessJob job;
+  job.argv = compile_argv(impl.compile_command, src, bin, pch_header);
+  job.timeout_ms = options_.compile_timeout_ms;
+  if (!pch_header.empty()) pch_compiles_.add(1);
+  // The compile span covers submit-to-completion (queueing included — that
+  // wait is real campaign latency), so the start is captured here and the
+  // event emitted from the pool's completion callback.
+  std::string span_args;
+  std::uint64_t span_start_ns = 0;
+  if (telemetry::Tracer::instance().active()) {
+    span_start_ns = telemetry::Tracer::now_ns() + 1;
+    span_args = "\"fingerprint\":\"" +
+                telemetry::hex_fingerprint(test.program.fingerprint()) +
+                "\",\"impl\":\"" + impl.name + "\"";
+  }
+  pool_->submit(std::move(job), [promise, bin, span_start_ns,
+                                span_args = std::move(span_args)](
+                                   ProcessResult compile) {
+    if (span_start_ns != 0) {
+      telemetry::Tracer::instance().complete("compile", "compile",
+                                             span_start_ns - 1,
+                                             telemetry::Tracer::now_ns(),
+                                             span_args);
+    }
+    CompileOutcome outcome;
+    // Injected compile deadline: a finished compile is reclassified as
+    // timed out (harness failure), exactly what a stalled machine does.
+    if (inject_fault(FaultSite::CompileTimeout)) compile.timed_out = true;
+    if (succeeded(compile)) {
+      outcome.bin = bin;
+    } else {
+      // No binary. A compiler diagnosing/rejecting the program (nonzero
+      // exit with output) is a real observation; a timeout or an
+      // unspawnable compile (exit 127, no output) is the harness failing.
+      outcome.harness_failure =
+          compile.timed_out ||
+          (compile.exit_code == 127 && compile.output.empty());
+    }
+    promise->set_value(std::move(outcome));
+  });
   return future;
 }
 
@@ -372,13 +351,22 @@ std::vector<core::RunResult> SubprocessExecutor::run_batch(
     OMPFUZZ_CHECK(input_index < test.inputs.size(), "input index out of range");
   }
 
-  // Stage 1 — compile queue: one in-flight compile per distinct
-  // implementation of this program (cross-program concurrency comes from the
-  // shared pool: other campaign workers' batches overlap these).
-  std::vector<std::shared_future<CompileOutcome>> binaries;
+  // Stage 1 — compile queue: one in-flight compile per implementation of
+  // this program (cross-program concurrency comes from the shared pool:
+  // other campaign workers' batches overlap these). The stem is registered
+  // before its source is written, so every file lands under the owner that
+  // unlinks it.
+  const std::string fingerprint =
+      telemetry::hex_fingerprint(test.program.fingerprint());
+  BatchArtifacts artifacts;
+  std::vector<std::future<CompileOutcome>>& binaries = artifacts.compiles;
   binaries.reserve(impls.size());
   for (const auto& impl : impls) {
-    binaries.push_back(ensure_binary(test, index_of(impl)));
+    const std::size_t index = index_of(impl);
+    artifacts.stems.push_back(options_.work_dir + "/" + test.program.name() +
+                              "_" + fingerprint + "_" + impl + "_" +
+                              std::to_string(next_stem_.fetch_add(1)));
+    binaries.push_back(submit_compile(test, index, artifacts.stems.back()));
   }
 
   // Stage 2 — run queue: each implementation's runs enter the pool as soon
@@ -448,37 +436,6 @@ core::RunResult SubprocessExecutor::run(const TestCase& test,
                                         std::size_t input_index,
                                         const std::string& impl_name) {
   return run_batch(test, {input_index}, {impl_name}).front();
-}
-
-void SubprocessExecutor::reclaim_artifacts(std::uint64_t program_fingerprint) {
-  // Collect under the cache mutex, unlink outside it (unlink can hit disk).
-  // Only finished compiles are reclaimed: a pending future's submitter will
-  // still read it, and its files are about to be written — the next
-  // reclaim_artifacts call for this program picks those up.
-  std::vector<std::string> stems;
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    auto it = binary_cache_.lower_bound({program_fingerprint, std::string()});
-    while (it != binary_cache_.end() && it->first.first == program_fingerprint) {
-      if (it->second.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-        ++it;
-        continue;
-      }
-      if (const auto stem = artifact_stems_.find(it->first);
-          stem != artifact_stems_.end()) {
-        stems.push_back(stem->second);
-        artifact_stems_.erase(stem);
-      }
-      it = binary_cache_.erase(it);
-    }
-  }
-  for (const auto& stem : stems) {
-    // Best-effort: a compile that never produced the binary (rejection,
-    // harness failure) simply has nothing to unlink.
-    (void)::unlink((stem + ".cpp").c_str());
-    (void)::unlink((stem + ".bin").c_str());
-  }
 }
 
 }  // namespace ompfuzz::harness

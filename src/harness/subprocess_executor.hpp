@@ -10,14 +10,22 @@
 //   * signal, nonzero exit, or unparseable output -> CRASH.
 //
 // Execution is pipelined through an AsyncProcessPool (async_process.hpp):
-// run_batch() feeds a compile stage where distinct (program, implementation)
-// pairs compile concurrently — the binary cache holds a future per key, so
-// only the first requester compiles and nobody serializes behind a global
-// lock — into a run stage that keeps up to `max_inflight` test children in
-// flight. With concurrent_runs = false (quiet-timing mode) timed test runs
-// are submitted as exclusive jobs: the pool drains and runs them alone, so
-// compiles on other workers can't inflate the self-reported times the
-// outlier analysis compares.
+// run_batch() feeds a compile stage where the batch's implementations
+// compile concurrently into a run stage that keeps up to `max_inflight` test
+// children in flight. With concurrent_runs = false (quiet-timing mode) timed
+// test runs are submitted as exclusive jobs: the pool drains and runs them
+// alone, so compiles on other workers can't inflate the self-reported times
+// the outlier analysis compares.
+//
+// Artifact lifetime is private to this class: each run_batch call owns the
+// sources and binaries it compiles and unlinks them before it returns, on
+// the exception path too (after waiting for the compiles it submitted), so
+// a campaign or reduction leaves work_dir empty apart from the PCH below.
+// Nothing is reused across calls: the campaign issues one call per
+// (program, backend) unit and the reducer's oracle answers revisited
+// candidates from its memo, so a retry after a harness failure recompiles.
+// File stems are `<name>_<fingerprint>_<impl>_<n>` with `n` a per-executor
+// counter, so concurrent batches of one program never share a path.
 //
 // Compiler fixed cost dominates a real campaign: every emitted TU opens with
 // the same emit::prelude() includes. So once a g++-like command (argv[0]'s
@@ -31,9 +39,10 @@
 // compile-failure attribution and crash/hang isolation are unchanged.
 // Compiles never wait for the PCH: one submitted while it builds, or after
 // its build failed, compiles plainly. A one-program campaign builds nothing.
-// The PCH (~17 MB per command) lives as long as the executor; the
-// destructor removes <work_dir>/pch/. Registry counters: exec.pch_builds,
-// exec.pch_failures, exec.pch_compiles (compiles that used a PCH).
+// The PCH (~17 MB per command) is the one artifact that lives as long as
+// the executor; the destructor removes <work_dir>/pch/. Registry counters:
+// exec.pch_builds, exec.pch_failures, exec.pch_compiles (compiles that used
+// a PCH).
 //
 // On a machine with several OpenMP toolchains installed this class runs the
 // paper's experiment verbatim; with a single compiler, optimization levels
@@ -59,7 +68,7 @@
 namespace ompfuzz::harness {
 
 struct SubprocessOptions {
-  std::string work_dir = "_tests";       ///< sources and binaries land here
+  std::string work_dir = "_tests";       ///< each batch's sources and binaries
   std::int64_t run_timeout_ms = 10'000;  ///< HANG threshold
   std::int64_t compile_timeout_ms = 60'000;
   /// Allow timed test runs to execute concurrently with other children. Off
@@ -129,29 +138,25 @@ class SubprocessExecutor final : public Executor {
   [[nodiscard]] std::string impl_identity(
       const std::string& impl_name) const override;
 
-  /// Unlinks the program's emitted source and compiled binary for every
-  /// implementation and drops the binary-cache futures, so a reduction that
-  /// stores each candidate's verdict can bound work_dir to the candidates
-  /// still in flight. Entries whose compile has not finished are left alone
-  /// (their submitter still awaits the future). The PCH is not touched.
-  void reclaim_artifacts(std::uint64_t program_fingerprint) override;
-
-  /// The binary cache hands out per-key futures behind a short-lived mutex;
-  /// child processes are independent, so concurrent calls are safe.
+  /// Every batch compiles into its own files and child processes are
+  /// independent, so concurrent calls are safe.
   [[nodiscard]] bool thread_safe() const noexcept override { return true; }
 
  private:
   /// What one (program, impl) compile produced. An empty `bin` means no
   /// binary: `harness_failure` then separates the toolchain rejecting the
-  /// program (an observation worth caching) from the harness failing to run
-  /// the compile at all (timeout on a loaded machine, fork/pipe exhaustion —
-  /// transient, never cached).
+  /// program (an observation) from the harness failing to run the compile
+  /// at all (timeout on a loaded machine, fork/pipe exhaustion — transient,
+  /// retried by the campaign, never stored).
   struct CompileOutcome {
     std::string bin;
     bool harness_failure = false;
   };
 
-  /// Per-implementation precompiled-prelude state, guarded by cache_mutex_.
+  /// The files and compiles one run_batch call owns (defined in the .cpp).
+  struct BatchArtifacts;
+
+  /// Per-implementation precompiled-prelude state, guarded by prelude_mutex_.
   struct Prelude {
     enum class State { Unsupported, Idle, Building, Ready, Failed };
     State state = State::Unsupported;
@@ -161,10 +166,10 @@ class SubprocessExecutor final : public Executor {
     std::string header;  ///< <work_dir>/pch/<impl>/prelude.hpp
   };
 
-  /// Returns the future compile outcome for (test, impls_[impl]), submitting
-  /// emission + compilation to the pool on first request.
-  [[nodiscard]] std::shared_future<CompileOutcome> ensure_binary(
-      const TestCase& test, std::size_t impl);
+  /// Emits `test` to `<stem>.cpp` and submits its compile with impls_[impl]
+  /// into `<stem>.bin`; the caller owns both files.
+  [[nodiscard]] std::future<CompileOutcome> submit_compile(
+      const TestCase& test, std::size_t impl, const std::string& stem);
 
   /// Writes impls_[impl]'s prelude header and submits its PCH build. Any
   /// failure, thrown or not, marks the prelude Failed and is counted.
@@ -182,22 +187,14 @@ class SubprocessExecutor final : public Executor {
   /// name -> index into impls_, built once so run() doesn't linear-scan.
   std::map<std::string, std::size_t> impl_index_;
   SubprocessOptions options_;
-  /// Guards binary_cache_, artifact_stems_ and preludes_ — insertion of the
-  /// future, not the compile.
-  std::mutex cache_mutex_;
+  std::mutex prelude_mutex_;
   /// Parallel to impls_.
   std::vector<Prelude> preludes_;
   /// Set by the destructor: PCH builds the pool kills on shutdown are not
   /// failures.
   std::atomic<bool> closing_{false};
-  /// (program fingerprint, impl) -> future compile outcome.
-  std::map<std::pair<std::uint64_t, std::string>,
-           std::shared_future<CompileOutcome>>
-      binary_cache_;
-  /// (program fingerprint, impl) -> work_dir file stem ("<stem>.cpp" /
-  /// "<stem>.bin"), recorded at submission so reclaim_artifacts can unlink
-  /// without re-deriving paths.
-  std::map<std::pair<std::uint64_t, std::string>, std::string> artifact_stems_;
+  /// The `<n>` of the next artifact stem.
+  std::atomic<std::uint64_t> next_stem_{0};
   telemetry::Counter& pch_builds_;
   telemetry::Counter& pch_failures_;
   telemetry::Counter& pch_compiles_;

@@ -17,7 +17,6 @@ namespace {
 /// serially after a parallel dispatch (no contended counters).
 struct OneResult {
   InterestingnessOracle::Classification classification;
-  std::uint64_t fingerprint = 0;
   std::uint64_t executed = 0;
   std::uint64_t cached = 0;
   std::uint64_t failures = 0;
@@ -39,11 +38,6 @@ InterestingnessOracle::InterestingnessOracle(harness::Executor& executor,
     impl_identities_.push_back(
         store_impl_identity(name, executor_.impl_identity(name)));
   }
-  // Candidate artifacts can only be reclaimed when every implementation's
-  // runs land in the memo — an identity-less implementation is never
-  // memoized, so its artifacts stay until the executor dies.
-  can_reclaim_ = std::none_of(impl_identities_.begin(), impl_identities_.end(),
-                              [](const std::string& id) { return id.empty(); });
 }
 
 std::vector<InterestingnessOracle::Classification>
@@ -63,7 +57,6 @@ InterestingnessOracle::classify(std::span<const Request> requests) {
     const std::string input_text = request.input->to_string();
 
     OneResult out;
-    out.fingerprint = fingerprint;
 
     // Value-range gate, ahead of every cache tier: a candidate that cannot
     // be proven free of out-of-bounds subscripts and zero `%` divisors is
@@ -194,19 +187,6 @@ InterestingnessOracle::classify(std::span<const Request> requests) {
     if (!partial.classification.trusted) {
       ++stats_.untrusted_candidates;
       registry.counter("reduce.untrusted_candidates").add(1);
-    }
-    // With every implementation's verdict now replayable from the memo (and
-    // the store, when attached), the candidate's on-disk artifacts — one
-    // source + binary per impl under a subprocess backend — are dead weight:
-    // reclaim them. Deferred to this post-dispatch loop so a duplicate
-    // candidate elsewhere in the generation can never race a reclaim against
-    // its own in-flight children. Candidates with a fabricated (harness
-    // failure) or unclassifiable run keep their artifacts: nothing was
-    // memoized for them, so a revisit would otherwise pay a full recompile.
-    if (can_reclaim_ && partial.failures == 0 && !partial.static_rejected) {
-      // Static-rejected candidates never dispatched, so they own no
-      // artifacts to reclaim.
-      executor_.reclaim_artifacts(partial.fingerprint);
     }
     results.push_back(std::move(partial.classification));
   }

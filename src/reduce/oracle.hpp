@@ -19,15 +19,6 @@
 // The oracle is deterministic: classifications are a pure function of the
 // candidate and the executor (threads only change timing, never results), so
 // the reducer on top of it is deterministic too.
-//
-// Work-dir bound: with a subprocess backend every distinct candidate emits a
-// source + binary per implementation into the executor's work_dir (and an
-// entry in its binary cache). Once a classify() batch completes and every
-// implementation's verdict is memoized (all identities known, no harness
-// failure), the oracle reclaims those artifacts via
-// Executor::reclaim_artifacts — so a full reduction leaves the work_dir
-// bounded by the candidates of the batch in flight, not by the thousands of
-// candidates visited.
 #pragma once
 
 #include <cstdint>
@@ -121,11 +112,6 @@ class InterestingnessOracle {
   /// Store identities (store_impl_identity), empty when the executor cannot
   /// vouch for caching — same convention as the campaign.
   std::vector<std::string> impl_identities_;
-  /// Every identity known: candidate artifacts are reclaimed from the
-  /// executor once a classify() batch has memoized their verdicts (the
-  /// subprocess work_dir eviction — a long reduction would otherwise leave
-  /// one source+binary per candidate per impl on disk).
-  bool can_reclaim_ = false;
   /// In-process run memo keyed by RunKey::canonical(), consulted before the
   /// store (and before the executor when no store is attached): ddmin
   /// generations and later passes revisit overlapping candidates constantly,

@@ -12,6 +12,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -201,8 +202,12 @@ std::string store_impl_identity(const std::string& impl_name,
 
 ResultStore::ResultStore(StoreConfig config) : config_(std::move(config)) {
   config_.validate();
-  make_dir(config_.dir);
-  make_dir(config_.dir + "/runs");
+  std::error_code ec;
+  std::filesystem::create_directories(config_.dir + "/runs", ec);
+  if (ec) {
+    throw Error("result store: cannot create directory " + config_.dir + ": " +
+                ec.message());
+  }
 }
 
 std::string ResultStore::object_path(const RunKey& key) const {

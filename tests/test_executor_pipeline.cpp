@@ -53,18 +53,38 @@ void write_script(const std::string& path, const std::string& content) {
   ASSERT_EQ(chmod(path.c_str(), 0755), 0);
 }
 
-/// Stub "compiler": ignores {src}, writes a fixed-output "binary" script to
-/// {bin}. Every run is deterministic (fixed comp value and self-reported
-/// time), so campaigns over it are bit-reproducible like the Sim backend.
+/// Stub "compiler": runs `prologue` (it may read {src} as $1), then writes a
+/// fixed-output "binary" script to {bin}. Every run is deterministic (fixed
+/// comp value and self-reported time), so campaigns over it are
+/// bit-reproducible like the Sim backend.
 std::string make_stub_compiler(const std::string& dir, const std::string& name,
-                               const std::string& binary_body) {
+                               const std::string& binary_body,
+                               const std::string& prologue = "") {
   const std::string bin_template = dir + "/" + name + "_payload.sh";
   write_script(bin_template, "#!/bin/sh\n" + binary_body);
   const std::string cc = dir + "/" + name + ".sh";
-  write_script(cc, "#!/bin/sh\n"
+  write_script(cc, "#!/bin/sh\n" + prologue +
                    "cp " + bin_template + " \"$2\"\n"
                    "chmod +x \"$2\"\n");
   return cc;
+}
+
+/// A stub compiler that fails unless its source exists, appends the source
+/// path ($1) to `log`, and sleeps `sleep_s` seconds before writing the binary.
+std::string make_logging_stub_compiler(const std::string& dir,
+                                       const std::string& log,
+                                       const std::string& sleep_s = "0") {
+  return make_stub_compiler(dir, "logging_cc", "echo 1\necho \"time_us: 10\"\n",
+                            "test -f \"$1\" || exit 1\n"
+                            "echo \"$1\" >> " + log + "\n"
+                            "sleep " + sleep_s + "\n");
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
 }
 
 CampaignConfig stub_campaign_config(int programs, int threads) {
@@ -510,10 +530,9 @@ TEST(SubprocessClassify, SameNameDifferentProgramsGetDistinctFiles) {
   // differing in body must not race on one source/binary path — the stem
   // includes the fingerprint.
   const std::string dir = temp_dir();
+  const std::string log = dir + "/compiles.log";
   std::vector<ImplementationSpec> impls = {
-      {"cc", make_stub_compiler(dir, "cc", "echo 1\necho \"time_us: 10\"\n") +
-                 " {src} {bin}",
-       ""},
+      {"cc", make_logging_stub_compiler(dir, log) + " {src} {bin}", ""},
   };
   SubprocessOptions opt;
   opt.work_dir = dir + "/work";
@@ -531,11 +550,13 @@ TEST(SubprocessClassify, SameNameDifferentProgramsGetDistinctFiles) {
 
   EXPECT_EQ(exec.run(a, 0, "cc").status, core::RunStatus::Ok);
   EXPECT_EQ(exec.run(b, 0, "cc").status, core::RunStatus::Ok);
-  int sources = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(opt.work_dir)) {
-    sources += entry.path().extension() == ".cpp" ? 1 : 0;
-  }
-  EXPECT_EQ(sources, 2) << "same-name programs shared an emission path";
+  const std::vector<std::string> sources = read_lines(log);
+  ASSERT_EQ(sources.size(), 2u);
+  const auto has_fingerprint = [](const std::string& path, const ast::Program& p) {
+    return path.find(telemetry::hex_fingerprint(p.fingerprint())) != std::string::npos;
+  };
+  EXPECT_TRUE(has_fingerprint(sources[0], a.program)) << sources[0];
+  EXPECT_TRUE(has_fingerprint(sources[1], b.program)) << sources[1];
 }
 
 TEST(SubprocessClassify, UnknownImplementationThrows) {
@@ -600,6 +621,80 @@ TEST(SubprocessWorkDir, UncreatableWorkDirThrowsAtConstruction) {
     EXPECT_NE(std::string(e.what()).find(opt.work_dir), std::string::npos)
         << e.what();
   }
+}
+
+TEST(SubprocessWorkDir, CampaignLeavesNoArtifacts) {
+  // Each run_batch call unlinks the sources and binaries it compiled; stub
+  // compilers never get a PCH, so nothing at all remains.
+  const std::string dir = temp_dir();
+  const std::string cc =
+      make_stub_compiler(dir, "cc", "echo 42\necho \"time_us: 2000\"\n");
+  SubprocessOptions opt;
+  opt.work_dir = dir + "/work";
+  opt.max_inflight = 4;
+  SubprocessExecutor exec({{"alpha", cc + " {src} {bin}", ""},
+                           {"beta", cc + " {src} {bin}", ""}},
+                          opt);
+  Campaign campaign(stub_campaign_config(6, 2), exec);
+  const CampaignResult result = campaign.run();
+  ASSERT_EQ(result.total_runs, 6 * 2 * 2);
+  for (const auto& outcome : result.outcomes) {
+    for (const auto& run : outcome.runs) EXPECT_EQ(run.status, core::RunStatus::Ok);
+  }
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(opt.work_dir)) {
+    left.push_back(entry.path().filename().string());
+  }
+  EXPECT_TRUE(left.empty()) << left.size() << " files left, e.g. " << left.front();
+}
+
+TEST(SubprocessWorkDir, ConcurrentBatchesOfOneProgramDoNotCollide) {
+  // Two batches of the same program in flight at once (duplicate candidates
+  // of one oracle generation do this) compile into distinct files, so
+  // neither unlinks or overwrites the other's source or binary.
+  const std::string dir = temp_dir();
+  const std::string log = dir + "/compiles.log";
+  SubprocessOptions opt;
+  opt.work_dir = dir + "/work";
+  opt.max_inflight = 4;
+  opt.concurrent_runs = true;
+  SubprocessExecutor exec(
+      {{"cc", make_logging_stub_compiler(dir, log, "0.3") + " {src} {bin}", ""}},
+      opt);
+  Campaign campaign(stub_campaign_config(1, 1), exec);
+  const TestCase test = campaign.make_test_case(0);
+  const auto batch = [&] { return exec.run_batch(test, {0, 1}, {"cc"}); };
+  auto first = std::async(std::launch::async, batch);
+  auto second = std::async(std::launch::async, batch);
+  for (const auto& results : {first.get(), second.get()}) {
+    ASSERT_EQ(results.size(), 2u);
+    for (const auto& run : results) EXPECT_EQ(run.status, core::RunStatus::Ok);
+  }
+  const std::vector<std::string> sources = read_lines(log);
+  ASSERT_EQ(sources.size(), 2u);
+  EXPECT_NE(sources[0], sources[1]);
+  EXPECT_TRUE(std::filesystem::is_empty(opt.work_dir));
+}
+
+TEST(SubprocessWorkDir, ThrowingBatchLeavesNoArtifacts) {
+  // The unknown second implementation throws after the first compile was
+  // submitted; the batch waits for that compile before unlinking, so no
+  // late binary appears once run_batch has thrown.
+  const std::string dir = temp_dir();
+  SubprocessOptions opt;
+  opt.work_dir = dir + "/work";
+  SubprocessExecutor exec(
+      {{"cc", make_logging_stub_compiler(dir, dir + "/compiles.log", "0.3") +
+                  " {src} {bin}",
+        ""}},
+      opt);
+  Campaign campaign(stub_campaign_config(1, 1), exec);
+  EXPECT_THROW((void)exec.run_batch(campaign.make_test_case(0), {0},
+                                    {"cc", "missing"}),
+               Error);
+  EXPECT_EQ(read_lines(dir + "/compiles.log").size(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_TRUE(std::filesystem::is_empty(opt.work_dir));
 }
 
 // ------------------------------------------------- precompiled prelude ----
@@ -834,11 +929,13 @@ TEST(PrecompiledPrelude, LaterCompilesUseThePchAndNoGchOutlivesTheExecutor) {
         << "no compile used the PCH in " << p << " programs";
     EXPECT_EQ(files_with_extension(work, ".gch"),
               std::vector<std::string>{work + "/pch/cc/prelude.hpp.gch"});
+    EXPECT_TRUE(files_with_extension(work, ".cpp").empty() &&
+                files_with_extension(work, ".bin").empty())
+        << "a source or binary outlived its batch";
   }
   EXPECT_TRUE(files_with_extension(work, ".gch").empty());
   EXPECT_FALSE(std::filesystem::exists(work + "/pch"));
-  EXPECT_FALSE(files_with_extension(work, ".bin").empty())
-      << "the destructor removed more than the PCH";
+  EXPECT_TRUE(std::filesystem::is_empty(work)) << "a file outlived the executor";
 }
 
 // ------------------------------------------------------------- config ------

@@ -247,6 +247,39 @@ TEST(Passes, PruneDropsUnusedParamAndItsInput) {
   EXPECT_NE(pruned->program.fingerprint(), f.prog.fingerprint());
 }
 
+TEST(Passes, PruneDropsClauseOnlyVariableWithItsClauseEntry) {
+  // A clause names a variable without using it: a variable named only in
+  // private(...) is pruned together with its clause entry, while clause
+  // entries of used variables survive, renumbered.
+  Fixture f;
+  const VarId only_private =
+      f.prog.add_var({"tmp_2", VarKind::FpScalar, VarRole::Temp, FpWidth::F64, 0});
+  const VarId inner =
+      f.prog.add_var({"tmp_3", VarKind::FpScalar, VarRole::Temp, FpWidth::F64, 0});
+  ast::OmpClauses clauses;
+  clauses.privates = {only_private, f.t};
+  clauses.firstprivates = {f.x};
+  ast::Block region;
+  region.stmts.push_back(Stmt::decl(inner, Expr::var(f.x)));
+  f.prog.body().stmts.push_back(Stmt::omp_parallel(clauses, std::move(region)));
+
+  const auto pruned = prune_candidate(f.prog, f.input());
+  ASSERT_TRUE(pruned.has_value());
+  const Program& p = pruned->program;
+  p.validate();
+  EXPECT_TRUE(structurally_valid(p));
+  EXPECT_EQ(p.var_count(), f.prog.var_count() - 1);
+  for (const auto& decl : p.vars()) EXPECT_NE(decl.name, "tmp_2");
+  EXPECT_EQ(p.params().size(), 2u);
+  const Stmt& parallel = *p.body().stmts.back();
+  ASSERT_EQ(parallel.kind, Stmt::Kind::OmpParallel);
+  ASSERT_EQ(parallel.clauses.privates.size(), 1u);
+  EXPECT_EQ(p.var(parallel.clauses.privates[0]).name, "tmp_1");
+  ASSERT_EQ(parallel.clauses.firstprivates.size(), 1u);
+  EXPECT_EQ(p.var(parallel.clauses.firstprivates[0]).name, "var_x");
+  EXPECT_EQ(p.var(parallel.body.stmts[0]->target.var).name, "tmp_3");
+}
+
 TEST(Passes, PruneKeepsFullyUsedPrograms) {
   const Fixture f;
   EXPECT_FALSE(prune_candidate(f.prog, f.input()).has_value());

@@ -295,6 +295,33 @@ TEST(ResultStoreTest, SurvivesReopenAcrossProcessesWorthOfState) {
   expect_bits_eq(cached->output, 3.25);
 }
 
+TEST(ResultStoreTest, NestedDirIsCreatedAndRoundTrips) {
+  const std::string dir = temp_dir() + "/results/run1/store";
+  const RunKey key{9, "1", "sim;profile=gcc"};
+  core::RunResult result;
+  result.impl = "gcc";
+  result.output = 0.5;
+  {
+    ResultStore store(store_config(dir));
+    store.put(key, result);
+  }
+  const auto cached = ResultStore(store_config(dir)).lookup(key);
+  ASSERT_TRUE(cached.has_value());
+  expect_bits_eq(cached->output, 0.5);
+}
+
+TEST(ResultStoreTest, UncreatableDirThrowsNamingIt) {
+  const std::string base = temp_dir();
+  std::ofstream(base + "/plain_file") << "x";
+  const std::string dir = base + "/plain_file/store";  // a regular file as parent
+  try {
+    ResultStore store(store_config(dir));
+    FAIL() << "opening a store under a regular file did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(dir), std::string::npos) << e.what();
+  }
+}
+
 TEST(ResultStoreTest, DigestCollisionIsAMissNotAStaleHit) {
   const std::string dir = temp_dir() + "/store";
   const RunKey a{1, "i", "x"};
