@@ -29,12 +29,41 @@ double CampaignResult::outlier_rate() const {
                                static_cast<double>(total_runs);
 }
 
+void StaticAnalysisStats::add_draft(const ast::Program& draft,
+                                    const analysis::RaceReport& report,
+                                    const analysis::AnalyzerStats& precision) {
+  ++programs_checked;
+  interval_disjoint_pairs += precision.interval_disjoint_pairs;
+  interval_mod_rewrites += precision.mod_rewrites;
+  if (report.race_free()) {
+    if (!analysis::analyze_races(draft, {.use_intervals = false}).race_free()) {
+      ++interval_rescued_drafts;
+    }
+    return;
+  }
+  ++programs_filtered;
+  for (const auto& f : report.findings) ++findings_by_kind[static_cast<int>(f.kind)];
+}
+
+StaticAnalysisStats& StaticAnalysisStats::operator+=(const StaticAnalysisStats& other) {
+  programs_checked += other.programs_checked;
+  programs_filtered += other.programs_filtered;
+  for (std::size_t k = 0; k < findings_by_kind.size(); ++k) {
+    findings_by_kind[k] += other.findings_by_kind[k];
+  }
+  interval_rescued_drafts += other.interval_rescued_drafts;
+  interval_disjoint_pairs += other.interval_disjoint_pairs;
+  interval_mod_rewrites += other.interval_mod_rewrites;
+  return *this;
+}
+
 CampaignMetrics::CampaignMetrics() {
   auto& registry = telemetry::Registry::global();
   retried_triples = &registry.counter("campaign.retried_triples");
   retry_rounds = &registry.counter("campaign.retry_rounds");
   fabricated_units = &registry.counter("campaign.fabricated_units");
   analysis_nanos = &registry.counter("campaign.analysis_nanos");
+  analyzed_drafts = &registry.counter("campaign.analyzed_drafts");
   units_total = &registry.gauge("campaign.units_total");
   units_done = &registry.gauge("campaign.units_done");
   live_backends = &registry.gauge("campaign.live_backends");
@@ -71,7 +100,8 @@ Campaign::Campaign(CampaignConfig config, std::vector<CampaignBackend> backends)
   metrics_base_ = telemetry::Registry::global().snapshot();
 }
 
-TestCase Campaign::make_test_case(int program_index) const {
+TestCase Campaign::make_test_case(int program_index,
+                                  StaticAnalysisStats* accounting) const {
   telemetry::ScopedSpan span("generate", "make_test_case");
   if (span.active()) span.arg("program", program_index);
   RandomEngine campaign_rng(config_.seed);
@@ -89,17 +119,22 @@ TestCase Campaign::make_test_case(int program_index) const {
     ast::Program candidate = generator_.generate(
         "test_" + std::to_string(program_index), seed);
     telemetry::ScopedSpan check_span("analysis", "check_races");
+    analysis::AnalyzerStats precision;
     const auto t0 = std::chrono::steady_clock::now();
-    const bool race_free = analysis::analyze_races(candidate).race_free();
+    const analysis::RaceReport report = analysis::analyze_races(
+        candidate, {}, accounting != nullptr ? &precision : nullptr);
     metrics_.analysis_nanos->add(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
             .count()));
+    metrics_.analyzed_drafts->add();
+    const bool race_free = report.race_free();
     if (check_span.active()) {
       check_span.arg("fingerprint",
                      telemetry::hex_fingerprint(candidate.fingerprint()));
       check_span.arg("race_free", race_free ? "yes" : "no");
     }
+    if (accounting != nullptr) accounting->add_draft(candidate, report, precision);
     if (race_free) {
       test.program = std::move(candidate);
       test.regeneration_attempts = attempt;
@@ -136,7 +171,7 @@ struct SubShard {
   /// error): the sub-shard is merged like any other, but it counts against
   /// its backend's health.
   bool tainted = false;
-  int regeneration_attempts = 0;
+  StaticAnalysisStats analysis;  ///< the program's drafts, from make_test_case
   std::string program_name;
   std::vector<std::string> input_texts;  ///< one per input
   std::vector<core::RunResult> runs;     ///< inputs x backend impls, input-major
@@ -147,7 +182,7 @@ struct SubShard {
 struct MergedShard {
   std::vector<TestOutcome> outcomes;
   std::vector<DivergentTriple> divergent;
-  int regeneration_attempts = 0;
+  StaticAnalysisStats analysis;
 };
 
 /// Computes the verdict and output divergence of one outcome from its raw
@@ -208,10 +243,12 @@ core::RunResult fabricated_run(const std::string& impl_name) {
 }
 
 /// The program metadata every sub-shard of program `p` carries, whatever
-/// produced its runs: name, regeneration count, and input serializations.
-SubShard shard_metadata(const TestCase& test, std::size_t num_inputs) {
+/// produced its runs: name, static-analysis accounting, and input
+/// serializations.
+SubShard shard_metadata(const TestCase& test, const StaticAnalysisStats& analysis,
+                        std::size_t num_inputs) {
   SubShard shard;
-  shard.regeneration_attempts = test.regeneration_attempts;
+  shard.analysis = analysis;
   shard.program_name = test.program.name();
   shard.input_texts.resize(num_inputs);
   for (std::size_t i = 0; i < num_inputs; ++i) {
@@ -281,7 +318,8 @@ SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
                         const CampaignMetrics& metrics,
                         const std::atomic<bool>& backend_dead) {
   telemetry::ScopedSpan span("run-batch", "shard_unit");
-  const TestCase test = campaign.make_test_case(p);
+  StaticAnalysisStats analysis;
+  const TestCase test = campaign.make_test_case(p, &analysis);
   const std::uint64_t fingerprint = test.program.fingerprint();
   if (span.active()) {
     span.arg("program", p);
@@ -291,7 +329,7 @@ SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
   const std::size_t ni =
       static_cast<std::size_t>(campaign.config().inputs_per_program);
   const std::size_t nj = impl_names.size();
-  SubShard shard = shard_metadata(test, ni);
+  SubShard shard = shard_metadata(test, analysis, ni);
 
   const auto key_for = [&](std::size_t i, std::size_t j) {
     return RunKey{fingerprint, shard.input_texts[i], impl_identities[j]};
@@ -325,14 +363,8 @@ SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
   // or store-less unit therefore degenerates to one batched call covering
   // every (input, impl) pair of this backend — and a fully warm unit
   // dispatches nothing at all. The input-major result order is part of the
-  // run_batch contract.
-  //
-  // A batch the executor cannot deliver — it threw, returned the wrong
-  // number of results, or an injected dispatch fault fired — is fabricated
-  // as harness failures for its whole group. A short batch used to be a
-  // fatal invariant violation; on a multi-backend campaign that let one
-  // misbehaving backend abort everyone else's work, so it degrades to the
-  // same quarantine path every other infrastructure failure takes.
+  // run_batch contract. A batch the executor cannot deliver (see above) is
+  // fabricated as harness failures for its whole group.
   const auto dispatch_pending = [&] {
     for (const auto& group : group_pending(need, ni, nj)) {
       std::vector<std::string> group_impls;
@@ -351,7 +383,7 @@ SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
         }
         if (delivered &&
             batch.size() != group.missing_inputs.size() * group_impls.size()) {
-          delivered = false;  // short batch — see the note above
+          delivered = false;  // short batch
         }
       }
       if (!delivered) {
@@ -414,15 +446,16 @@ SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
 }
 
 /// Sub-shard of a dead backend: every run is a fabricated harness failure,
-/// but the program metadata (name, input serializations, regeneration count)
-/// is still generated for real so the merge and the split-invariant
-/// static-analysis accounting see the same program every healthy backend
-/// sees.
+/// but the program metadata (name, input serializations, static-analysis
+/// accounting) is still generated for real so the merge sees the same
+/// program every healthy backend sees — a dead backend can be row[0].
 SubShard fabricate_shard_unit(const Campaign& campaign,
                               const std::vector<std::string>& impl_names,
                               int p) {
   const auto ni = static_cast<std::size_t>(campaign.config().inputs_per_program);
-  SubShard shard = shard_metadata(campaign.make_test_case(p), ni);
+  StaticAnalysisStats analysis;
+  const TestCase test = campaign.make_test_case(p, &analysis);
+  SubShard shard = shard_metadata(test, analysis, ni);
   shard.runs.reserve(ni * impl_names.size());
   for (std::size_t i = 0; i < ni; ++i) {
     for (const auto& name : impl_names) {
@@ -589,15 +622,16 @@ Execution execute_units(const Campaign& campaign, const RunPlan& plan,
 // ----------------------------------------------------------- merge phase ----
 
 /// Joins program `p`'s sub-shards — backend columns concatenated per input
-/// row — and classifies every outcome. Divergent triples need the AST, which
-/// no sub-shard retains, so the test case is regenerated, but only for
+/// row, static-analysis accounting from row[0] (every unit of a program has
+/// the same) — and classifies every outcome. Divergent triples need the AST,
+/// which no sub-shard retains, so the test case is regenerated, but only for
 /// divergent programs (the common non-divergent program merges without
 /// touching the generator).
 MergedShard merge_program(const Campaign& campaign, const RunPlan& plan,
                           const core::OutlierDetector& detector, int p,
                           std::vector<SubShard>& row) {
   MergedShard shard;
-  shard.regeneration_attempts = row[0].regeneration_attempts;
+  shard.analysis = row[0].analysis;
   const std::size_t ni = row[0].input_texts.size();
   shard.outcomes.reserve(ni);
   for (std::size_t i = 0; i < ni; ++i) {
@@ -623,49 +657,11 @@ MergedShard merge_program(const Campaign& campaign, const RunPlan& plan,
   return shard;
 }
 
-/// Static-analysis accounting of program `p`, derived from its regeneration
-/// count alone so it is identical whether the program was executed or
-/// served from the store. Every checked draft is re-derived from the same
-/// seed stream make_test_case used — the filtered ones (attempt <
-/// regeneration_attempts) for the findings tally, plus the accepted one for
-/// the interval-precision delta: a draft the affine-only baseline calls racy
-/// but interval analysis proves clean is by construction the accepted draft,
-/// never a filtered one.
-void account_static_analysis(const core::ProgramGenerator& generator,
-                             std::uint64_t seed, int p,
-                             int regeneration_attempts,
-                             StaticAnalysisStats& stats) {
-  stats.programs_checked += regeneration_attempts + 1;
-  stats.programs_filtered += regeneration_attempts;
-  RandomEngine campaign_rng(seed);
-  const std::uint64_t draft_seed =
-      campaign_rng.fork(static_cast<std::uint64_t>(p)).next_u64();
-  analysis::AnalyzeOptions affine_only;
-  affine_only.use_intervals = false;
-  analysis::AnalyzerStats interval_stats;
-  for (int attempt = 0; attempt <= regeneration_attempts; ++attempt) {
-    const ast::Program draft = generator.generate(
-        "test_" + std::to_string(p), hash_combine(draft_seed, attempt));
-    const auto report =
-        analysis::analyze_races(draft, analysis::AnalyzeOptions{}, &interval_stats);
-    if (attempt < regeneration_attempts) {
-      for (const auto& finding : report.findings) {
-        ++stats.findings_by_kind[static_cast<int>(finding.kind)];
-      }
-    }
-    if (report.race_free() &&
-        !analysis::analyze_races(draft, affine_only).race_free()) {
-      ++stats.interval_rescued_drafts;
-    }
-  }
-  stats.interval_disjoint_pairs += interval_stats.interval_disjoint_pairs;
-  stats.interval_mod_rewrites += interval_stats.mod_rewrites;
-}
-
-/// Folds one merged program into the campaign totals, per-implementation
-/// outlier counts, and quarantine list.
+/// Folds one merged program into the campaign totals, static-analysis
+/// accounting, per-implementation outlier counts, and quarantine list.
 void aggregate_program(MergedShard& shard, int p, CampaignResult& result) {
-  result.regenerated_programs += shard.regeneration_attempts > 0 ? 1 : 0;
+  result.regenerated_programs += shard.analysis.programs_filtered > 0 ? 1 : 0;
+  result.analysis += shard.analysis;
   for (auto& triple : shard.divergent) {
     result.divergent.push_back(std::move(triple));
   }
@@ -703,7 +699,6 @@ void aggregate_program(MergedShard& shard, int p, CampaignResult& result) {
 /// The merge phase: programs in order, so the result does not depend on the
 /// thread count or sub-shard completion order.
 void merge_units(const Campaign& campaign, const RunPlan& plan,
-                 const core::ProgramGenerator& generator,
                  std::vector<std::vector<SubShard>>& grid,
                  CampaignResult& result) {
   telemetry::ScopedSpan merge_span("campaign", "merge");
@@ -716,8 +711,6 @@ void merge_units(const Campaign& campaign, const RunPlan& plan,
   for (int p = 0; p < config.num_programs; ++p) {
     MergedShard shard = merge_program(campaign, plan, detector, p,
                                       grid[static_cast<std::size_t>(p)]);
-    account_static_analysis(generator, config.seed, p,
-                            shard.regeneration_attempts, result.analysis);
     aggregate_program(shard, p, result);
   }
 }
@@ -744,7 +737,7 @@ CampaignResult Campaign::run(const ProgressFn& progress) {
   scheduler_stats_ = std::move(execution.scheduler_stats);
   result.robustness.lost_backends = std::move(execution.lost_backends);
 
-  merge_units(*this, plan, generator_, execution.grid, result);
+  merge_units(*this, plan, execution.grid, result);
 
   // Size-bounded store GC: evict least-recently-used records until the
   // cache fits store.max_bytes (a no-op for an unbounded store).

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/access_set.hpp"
 #include "analysis/findings.hpp"
 #include "core/differ.hpp"
 #include "core/generator.hpp"
@@ -68,22 +69,22 @@ struct DivergentTriple {
   core::VerdictClass verdict_class;  ///< the class a reduction must preserve
 };
 
-/// Static-analysis accounting of the generation phase. Split-invariant by
-/// construction: computed during the ordered merge from each program's
-/// regeneration count by deterministically re-deriving the discarded drafts,
-/// so the numbers are bit-identical across thread counts, backend splits,
-/// and store-backed reruns — they can live in the report JSON.
+/// Static-analysis accounting of the generation phase, folded by each unit's
+/// make_test_case as it analyses its program's drafts and summed by the
+/// merge (one unit per program). The draft stream is a pure function of the
+/// config, so the numbers are bit-identical across thread counts, backend
+/// splits, and store-backed reruns — they can live in the report JSON.
 struct StaticAnalysisStats {
   int programs_checked = 0;   ///< drafts run through analyze_races
   int programs_filtered = 0;  ///< racy drafts discarded and regenerated
   /// Findings across filtered drafts, indexed by analysis::RaceKind.
   std::array<int, analysis::kNumRaceKinds> findings_by_kind{};
-  /// Interval-precision delta over the same re-derived drafts: how many
-  /// checked drafts the affine-only baseline would have filtered as racy
-  /// that value-range analysis proves clean. Every rescued draft is a
-  /// regeneration (and its analysis + generation cost) the campaign did not
-  /// pay. Zero unless the grammar emits range-separated subscripts (the
-  /// `rangeidx` generator feature).
+  /// Interval-precision delta over the same drafts: how many checked drafts
+  /// the affine-only baseline would have filtered as racy that value-range
+  /// analysis proves clean. Every rescued draft is a regeneration (and its
+  /// analysis + generation cost) the campaign did not pay. Zero unless the
+  /// grammar emits range-separated subscripts (the `rangeidx` generator
+  /// feature).
   int interval_rescued_drafts = 0;
   /// Access pairs across all checked drafts proved race-free purely by
   /// interval disjointness (affine subtraction was inconclusive).
@@ -91,6 +92,13 @@ struct StaticAnalysisStats {
   /// `x % c` subscript wrappers the interval engine proved to be identity
   /// rewrites, reclassifying the subscript for the affine test.
   std::uint64_t interval_mod_rewrites = 0;
+
+  /// Folds one draft, with its race-filter report and interval counters; a
+  /// clean draft is analysed again affine-only to count a rescue.
+  void add_draft(const ast::Program& draft, const analysis::RaceReport& report,
+                 const analysis::AnalyzerStats& precision);
+  StaticAnalysisStats& operator+=(const StaticAnalysisStats& other);
+  bool operator==(const StaticAnalysisStats&) const = default;
 };
 
 /// One (program, input, implementation) triple whose run could not be
@@ -173,6 +181,7 @@ struct CampaignMetrics {
   telemetry::Counter* retry_rounds;      ///< campaign.retry_rounds
   telemetry::Counter* fabricated_units;  ///< campaign.fabricated_units
   telemetry::Counter* analysis_nanos;    ///< campaign.analysis_nanos
+  telemetry::Counter* analyzed_drafts;   ///< campaign.analyzed_drafts
   telemetry::Gauge* units_total;         ///< campaign.units_total
   telemetry::Gauge* units_done;          ///< campaign.units_done
   telemetry::Gauge* live_backends;       ///< campaign.live_backends
@@ -203,8 +212,10 @@ class Campaign {
   [[nodiscard]] CampaignResult run(const ProgressFn& progress = nullptr);
 
   /// Generates the i-th test case of this campaign (exposed so benches can
-  /// re-create a specific test for case-study analysis).
-  [[nodiscard]] TestCase make_test_case(int program_index) const;
+  /// re-create a specific test for case-study analysis), folding every draft
+  /// it analyses into `accounting` when one is given.
+  [[nodiscard]] TestCase make_test_case(
+      int program_index, StaticAnalysisStats* accounting = nullptr) const;
 
   [[nodiscard]] const CampaignConfig& config() const noexcept { return config_; }
 

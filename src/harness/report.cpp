@@ -114,10 +114,6 @@ std::string render_scheduler_summary(
 
 std::string render_analysis_summary(const CampaignResult& result,
                                     const telemetry::MetricsSnapshot& metrics) {
-  const telemetry::MetricSample* nanos =
-      metrics.find("campaign.analysis_nanos");
-  const double analysis_seconds =
-      nanos == nullptr ? -1.0 : static_cast<double>(nanos->counter) * 1e-9;
   const StaticAnalysisStats& a = result.analysis;
   std::string out = "static analysis: " + std::to_string(a.programs_checked) +
                     " drafts checked, " + std::to_string(a.programs_filtered) +
@@ -134,15 +130,13 @@ std::string render_analysis_summary(const CampaignResult& result,
            std::to_string(a.findings_by_kind[static_cast<std::size_t>(k)]) +
            "\n";
   }
-  if (analysis_seconds >= 0.0) {
-    out += "  analysis wall time: " + format_fixed(analysis_seconds * 1e3, 1) +
-           " ms";
-    if (analysis_seconds > 0.0 && a.programs_checked > 0) {
-      out += " (" +
-             format_fixed(static_cast<double>(a.programs_checked) /
-                              analysis_seconds,
-                          0) +
-             " programs/sec)";
+  if (const auto* nanos = metrics.find("campaign.analysis_nanos")) {
+    const double seconds = static_cast<double>(nanos->counter) * 1e-9;
+    const std::uint64_t drafts = metrics.counter("campaign.analyzed_drafts");
+    out += "  analysis wall time: " + format_fixed(seconds * 1e3, 1) + " ms";
+    if (seconds > 0.0 && drafts > 0) {
+      out += " (" + format_fixed(static_cast<double>(drafts) / seconds, 0) +
+             " drafts/sec)";
     }
     out += "\n";
   }

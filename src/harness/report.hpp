@@ -42,10 +42,11 @@ namespace ompfuzz::harness {
 /// Generation-phase race-filter summary: drafts checked/filtered, findings
 /// histogram, and — wall time being nondeterministic — the analysis timing,
 /// which therefore stays out of to_json (the counts themselves are in the
-/// JSON's split-invariant `static_analysis` block). The timing comes from
-/// the registry's campaign.analysis_nanos counter — pass
-/// Campaign::run_metrics(); the timing line is omitted when the counter is
-/// absent from the snapshot.
+/// JSON's split-invariant `static_analysis` block). The timing and the
+/// drafts/sec rate come from the registry's campaign.analysis_nanos and
+/// campaign.analyzed_drafts counters, which cover the same analyses whatever
+/// the backend split — pass Campaign::run_metrics(); the timing line is
+/// omitted when campaign.analysis_nanos is absent from the snapshot.
 [[nodiscard]] std::string render_analysis_summary(
     const CampaignResult& result, const telemetry::MetricsSnapshot& metrics);
 

@@ -140,8 +140,9 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
   }
 
   // The static_analysis block (including the interval-precision counters) is
-  // re-derived at merge time from each program's regeneration count, so it
-  // must be a pure function of the config — identical for every split.
+  // folded by each unit as it analyses its program's drafts and summed in
+  // program order, so it must be a pure function of the config — identical
+  // for every split.
   EXPECT_EQ(a.analysis.programs_checked, b.analysis.programs_checked);
   EXPECT_EQ(a.analysis.programs_filtered, b.analysis.programs_filtered);
   EXPECT_EQ(a.analysis.findings_by_kind, b.analysis.findings_by_kind);

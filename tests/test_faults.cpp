@@ -294,6 +294,12 @@ TEST(Failover, DeadBackendWithoutSpareDegradesGracefully) {
   for (const auto& run : result.outcomes.front().runs) {
     EXPECT_FALSE(run.harness_failure);
   }
+  // Fabricated units still account for their program's drafts: the
+  // static_analysis block equals a healthy run's.
+  SimExecutor healthy_exec(opt);
+  const CampaignResult healthy = Campaign(cfg, healthy_exec).run();
+  EXPECT_TRUE(result.analysis == healthy.analysis);
+  EXPECT_EQ(result.regenerated_programs, healthy.regenerated_programs);
 }
 
 // ------------------------------------------------------ short batches ------

@@ -308,6 +308,41 @@ TEST(Report, JsonIsWellFormedEnough) {
   EXPECT_EQ(depth, 0);
 }
 
+// The drafts/sec rate must be the analyzed-drafts counter over the analysis
+// time. Both counters grow with the number of backends (every unit analyses
+// its program's drafts), while programs_checked does not, so dividing the
+// latter by the time made the rate depend on the backend split.
+TEST(Report, AnalysisRateCountsAnalyzedDrafts) {
+  CampaignResult result;
+  result.analysis.programs_checked = 10;
+  const telemetry::MetricsSnapshot metrics(std::vector<telemetry::MetricSample>{
+      {"campaign.analysis_nanos", telemetry::MetricKind::Counter, 2'000'000, 0, 0, {}},
+      {"campaign.analyzed_drafts", telemetry::MetricKind::Counter, 30, 0, 0, {}}});
+  const std::string summary = render_analysis_summary(result, metrics);
+  EXPECT_NE(summary.find("analysis wall time: 2.0 ms (15000 drafts/sec)"),
+            std::string::npos)
+      << summary;
+  // No timer in the snapshot: no timing line at all.
+  EXPECT_EQ(render_analysis_summary(result, telemetry::MetricsSnapshot{})
+                .find("analysis wall time"),
+            std::string::npos);
+}
+
+// make_test_case's accounting covers exactly the drafts it generated: the
+// rejected ones plus the accepted one.
+TEST(CampaignTest, MakeTestCaseAccountsEveryDraft) {
+  SimExecutor exec(tiny_options());
+  const Campaign campaign(tiny_config(8), exec);
+  for (int p = 0; p < 8; ++p) {
+    StaticAnalysisStats accounting;
+    const TestCase test = campaign.make_test_case(p, &accounting);
+    EXPECT_EQ(accounting.programs_checked, test.regeneration_attempts + 1);
+    EXPECT_EQ(accounting.programs_filtered, test.regeneration_attempts);
+    EXPECT_EQ(test.program.fingerprint(),
+              campaign.make_test_case(p).program.fingerprint());
+  }
+}
+
 TEST(Report, OutlierListRenders) {
   SimExecutor exec(tiny_options());
   Campaign campaign(tiny_config(10), exec);

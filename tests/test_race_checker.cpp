@@ -2,11 +2,13 @@
 // pattern and accept each safe pattern of Section III-G.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/race_analyzer.hpp"
+#include "harness/campaign.hpp"
 
 namespace ompfuzz::core {
 namespace {
@@ -389,6 +391,69 @@ TEST(GoldenCorpus, FindingOrderIsUninitThenScalarsThenArrays) {
             (std::vector<KindVar>{{RaceKind::CompUnprotected, "comp"},
                                   {RaceKind::SharedScalarWrite, "var_1"},
                                   {RaceKind::ArrayUnsafeWrite, "var_2"}}));
+}
+
+// The campaign's race filter folds every draft it analyses into the report's
+// static_analysis block. Generated streams rarely produce a racy draft, so
+// the filtered-draft tally is pinned here on the three-kind racy program
+// above, next to a clean draft and one only interval analysis proves clean.
+TEST(GoldenCorpus, FilteredDraftFoldsIntoCampaignAccounting) {
+  Fixture racy;
+  Block racy_loop;
+  racy_loop.stmts.push_back(Stmt::assign(LValue{racy.comp, nullptr},
+                                         AssignOp::AddAssign, Expr::var(racy.shared_x)));
+  racy_loop.stmts.push_back(Stmt::assign(LValue{racy.arr, Expr::int_const(3)},
+                                         AssignOp::Assign, Expr::fp_const(1.0)));
+  racy.add_region(std::move(racy_loop));
+
+  Fixture clean;
+  Block clean_loop;
+  clean_loop.stmts.push_back(Stmt::assign(LValue{clean.arr, Expr::var(clean.i)},
+                                          AssignOp::Assign, Expr::fp_const(1.0)));
+  OmpClauses clauses;
+  clauses.privates.push_back(clean.shared_x);
+  clean.add_region(std::move(clean_loop), std::move(clauses));
+
+  // arr[i % 64] with i in [0, 8): affine-only gives up on the `%`, while
+  // intervals strip it and see the omp-for index.
+  Fixture ranged;
+  Block ranged_loop;
+  ranged_loop.stmts.push_back(Stmt::assign(
+      LValue{ranged.arr,
+             Expr::binary(ast::BinOp::Mod, Expr::var(ranged.i), Expr::int_const(64))},
+      AssignOp::Assign, Expr::fp_const(1.0)));
+  OmpClauses ranged_clauses;
+  ranged_clauses.privates.push_back(ranged.shared_x);
+  ranged.add_region(std::move(ranged_loop), std::move(ranged_clauses));
+  ASSERT_FALSE(analyze_races(ranged.prog, {.use_intervals = false}).race_free());
+
+  harness::StaticAnalysisStats program;
+  for (const Program* draft : {&racy.prog, &clean.prog, &ranged.prog}) {
+    analysis::AnalyzerStats precision;
+    const auto report = analyze_races(*draft, {}, &precision);
+    program.add_draft(*draft, report, precision);
+  }
+  std::array<int, analysis::kNumRaceKinds> findings{};
+  findings[static_cast<int>(RaceKind::CompUnprotected)] = 1;
+  findings[static_cast<int>(RaceKind::SharedScalarWrite)] = 1;
+  findings[static_cast<int>(RaceKind::ArrayUnsafeWrite)] = 1;
+  EXPECT_EQ(program.programs_checked, 3);
+  EXPECT_EQ(program.programs_filtered, 1);
+  EXPECT_EQ(program.findings_by_kind, findings);
+  EXPECT_EQ(program.interval_rescued_drafts, 1);
+  EXPECT_EQ(program.interval_mod_rewrites, 1u);
+
+  // The merge sums one accounting per program.
+  harness::StaticAnalysisStats campaign;
+  campaign += program;
+  campaign += program;
+  EXPECT_EQ(campaign.programs_checked, 6);
+  EXPECT_EQ(campaign.programs_filtered, 2);
+  for (int& n : findings) n *= 2;
+  EXPECT_EQ(campaign.findings_by_kind, findings);
+  EXPECT_EQ(campaign.interval_rescued_drafts, 2);
+  EXPECT_EQ(campaign.interval_mod_rewrites, 2u);
+  EXPECT_EQ(campaign.interval_disjoint_pairs, 2 * program.interval_disjoint_pairs);
 }
 
 TEST(GoldenCorpus, UninitializedFindingsLeadTheRegionReport) {

@@ -104,6 +104,9 @@ void expect_identical(const CampaignResult& a, const CampaignResult& b) {
   EXPECT_EQ(a.analyzable_tests, b.analyzable_tests);
   EXPECT_EQ(a.skipped_runs, b.skipped_runs);
   EXPECT_EQ(a.regenerated_programs, b.regenerated_programs);
+  // Every unit derives its program's static-analysis accounting itself, so
+  // a unit served from the store reports the same block as an executed one.
+  EXPECT_TRUE(a.analysis == b.analysis);
 
   ASSERT_EQ(a.per_impl.size(), b.per_impl.size());
   for (const auto& [name, counts] : a.per_impl) {
