@@ -173,54 +173,8 @@ std::string resolve_executable(const std::string& name) {
 
 ProcessResult run_process(const std::vector<std::string>& argv,
                           std::int64_t timeout_ms) {
-  ProcessResult result;
-  const SpawnedChild child = spawn_child(argv);
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-
-  bool out_eof = false;
-  int status = 0;
-  while (true) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          deadline - Clock::now())
-                          .count();
-    if (left <= 0) {
-      // The paper stops hung tests with a signal; escalate to SIGKILL so the
-      // harness never blocks. The whole process group dies, grandchildren
-      // included.
-      result.timed_out = true;
-      kill_child_tree(child.pid, SIGINT);
-      usleep(50'000);
-      kill_child_tree(child.pid, SIGKILL);
-      waitpid(child.pid, &status, 0);
-      break;
-    }
-    const int tick = static_cast<int>(std::min<std::int64_t>(left, 200));
-    if (!out_eof) {
-      pollfd pfd{child.out_fd, POLLIN, 0};
-      // Bounded wait so early exits that leave the pipe open (grandchildren
-      // inherited the write end) are still reaped promptly.
-      const int rc = poll(&pfd, 1, tick);
-      if (rc > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR))) {
-        out_eof = drain_pipe(child.out_fd, result.output);
-      }
-    } else {
-      // Pipe closed but the child lives on (it closed stdout explicitly, or
-      // only grandchildren held it): keep enforcing the deadline — never
-      // fall into an unbounded wait.
-      poll(nullptr, 0, std::min(tick, 50));
-    }
-    // Reap exits whether or not the pipe is still open.
-    const pid_t done = waitpid(child.pid, &status, WNOHANG);
-    if (done == child.pid) {
-      drain_pipe(child.out_fd, result.output);  // whatever remains buffered
-      break;
-    }
-  }
-  close(child.out_fd);
-  if (child.pidfd >= 0) close(child.pidfd);
-
-  decode_wait_status(status, result);
-  return result;
+  AsyncProcessPool pool(1);
+  return pool.submit({argv, timeout_ms, false}).get();
 }
 
 namespace {
@@ -410,9 +364,7 @@ void AsyncProcessPool::event_loop() {
       // executors classify that as a harness failure, never an observation.
       if (inject_fault(FaultSite::PoolExec) ||
           inject_fault(FaultSite::PoolStall)) {
-        ProcessResult r;
-        r.exit_code = 127;
-        if (child.on_done) child.on_done(std::move(r));
+        if (child.on_done) child.on_done(ProcessResult::lost());
         continue;
       }
       try {
@@ -436,9 +388,7 @@ void AsyncProcessPool::event_loop() {
         }
       } catch (const Error&) {
         // fork/pipe exhaustion: fail this job, keep the loop alive.
-        ProcessResult r;
-        r.exit_code = 127;
-        if (child.on_done) child.on_done(std::move(r));
+        if (child.on_done) child.on_done(ProcessResult::lost());
         continue;
       }
       active.push_back(std::move(child));

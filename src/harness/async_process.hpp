@@ -41,6 +41,19 @@ struct ProcessResult {
   int term_signal = 0;
   bool timed_out = false;
   std::string output;  ///< captured stdout
+
+  /// A lost child: one that never ran (exec failure, fork/pipe exhaustion,
+  /// an injected spawn fault) reads as exit 127 with no output. Generated
+  /// binaries exit 0/2 or die by signal, so this shape is never a genuine
+  /// test outcome: executors classify it as a harness failure.
+  [[nodiscard]] static ProcessResult lost() {
+    ProcessResult r;
+    r.exit_code = 127;
+    return r;
+  }
+  [[nodiscard]] bool is_lost() const noexcept {
+    return exit_code == 127 && output.empty();
+  }
 };
 
 /// One child to run: argv plus its deadline. `exclusive` jobs wait for the
@@ -60,9 +73,10 @@ struct ProcessJob {
 [[nodiscard]] std::string resolve_executable(const std::string& name);
 
 /// Runs argv[0] with the given arguments, capturing stdout and killing the
-/// child's whole process group after timeout_ms. Synchronous building block
-/// (one caller, one child); the pool below is the batched path. Exposed for
-/// tests.
+/// child's whole process group after timeout_ms: one job through a one-slot
+/// AsyncProcessPool, so the child is spawned, timed out, reaped, counted and
+/// traced exactly like a campaign's. A child that cannot be spawned returns
+/// ProcessResult::lost() (exit 127) rather than throwing.
 [[nodiscard]] ProcessResult run_process(const std::vector<std::string>& argv,
                                         std::int64_t timeout_ms);
 
@@ -87,7 +101,9 @@ class AsyncProcessPool {
   using CompletionFn = std::function<void(ProcessResult)>;
 
   /// Enqueues a job; `on_done` fires on the event-loop thread when the child
-  /// completes (keep it cheap: fulfill a promise, push to a queue).
+  /// completes (keep it cheap: fulfill a promise, submit follow-up jobs).
+  /// Throws ompfuzz::Error once the destructor has begun, also when called
+  /// from a callback the shutdown completes.
   void submit(ProcessJob job, CompletionFn on_done);
 
   /// Future-returning convenience over the callback form.

@@ -3,7 +3,7 @@
 #include <unistd.h>
 
 #include <cctype>
-#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -105,6 +105,15 @@ SubprocessExecutor::SubprocessExecutor(std::vector<ImplementationSpec> impls,
                   "implementation '" + impls_[i].name + "' has no compile command");
     const bool inserted = impl_index_.emplace(impls_[i].name, i).second;
     OMPFUZZ_CHECK(inserted, "duplicate implementation: " + impls_[i].name);
+    // A command that cannot be spawned would only surface as harness
+    // failures, retried and quarantined triple by triple.
+    const std::string exe = resolve_executable(argv.front());
+    std::error_code ec;
+    if (!std::filesystem::is_regular_file(exe, ec) ||
+        ::access(exe.c_str(), X_OK) != 0) {
+      throw Error("implementation '" + impls_[i].name + "': compiler '" +
+                  argv.front() + "' is not an executable file");
+    }
     if (is_gxx_like(argv.front())) {
       preludes_[i].state = Prelude::State::Idle;
       preludes_[i].header =
@@ -198,21 +207,46 @@ void SubprocessExecutor::build_prelude(std::size_t i) {
   }
 }
 
-/// The files and compiles one run_batch call owns. The destructor waits for
-/// every compile still pending (only an exception leaves one), then unlinks
-/// each stem's source and binary: nothing a batch compiles outlives it, on
-/// any path, and no late `.bin` lands after the unlink.
+/// What one run_batch call shares with its pool callbacks. Every callback
+/// co-owns it, so none ever writes into a run_batch frame that has returned
+/// or unwound.
+struct SubprocessExecutor::Batch {
+  /// Per input index: the run's argv after the binary.
+  std::vector<std::vector<std::string>> inputs;
+  /// Input-major, like run_batch's result; slot k is written by one callback.
+  std::vector<core::RunResult> results;
+  std::mutex mutex;
+  std::condition_variable idle;
+  std::size_t jobs = 0;  ///< submitted compiles and runs not yet completed
+
+  void add_job() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    ++jobs;
+  }
+  void job_done() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (--jobs == 0) idle.notify_all();
+  }
+  void wait_idle() {
+    std::unique_lock<std::mutex> lock(mutex);
+    idle.wait(lock, [this] { return jobs == 0; });
+  }
+};
+
+/// The files one run_batch call owns. The destructor waits until no job of
+/// the batch is left in the pool (only an exception leaves one by then),
+/// then unlinks each stem's source and binary: nothing a batch compiles
+/// outlives it, on any path, and no late `.bin` lands or runs after the
+/// unlink.
 struct SubprocessExecutor::BatchArtifacts {
+  std::shared_ptr<Batch> batch = std::make_shared<Batch>();
   std::vector<std::string> stems;
-  std::vector<std::future<CompileOutcome>> compiles;
 
   BatchArtifacts() = default;
   BatchArtifacts(const BatchArtifacts&) = delete;
   BatchArtifacts& operator=(const BatchArtifacts&) = delete;
   ~BatchArtifacts() {
-    for (auto& compile : compiles) {
-      if (compile.valid()) compile.wait();
-    }
+    batch->wait_idle();
     for (const auto& stem : stems) {
       // Best-effort: a compile that never produced the binary (rejection,
       // harness failure) simply has nothing to unlink.
@@ -222,12 +256,10 @@ struct SubprocessExecutor::BatchArtifacts {
   }
 };
 
-std::future<SubprocessExecutor::CompileOutcome>
-SubprocessExecutor::submit_compile(const TestCase& test, std::size_t impl_index,
-                                   const std::string& stem) {
+void SubprocessExecutor::submit_compile(
+    const TestCase& test, std::size_t impl_index, const std::string& stem,
+    std::function<void(CompileOutcome)> then) {
   const ImplementationSpec& impl = impls_[impl_index];
-  auto promise = std::make_shared<std::promise<CompileOutcome>>();
-  std::future<CompileOutcome> future = promise->get_future();
   std::string pch_header;  // non-empty: compile with the precompiled prelude
   bool start_build = false;
   {
@@ -256,8 +288,8 @@ SubprocessExecutor::submit_compile(const TestCase& test, std::size_t impl_index,
   if (inject_fault(FaultSite::CompileSpawn)) {
     CompileOutcome outcome;
     outcome.harness_failure = true;
-    promise->set_value(std::move(outcome));
-    return future;
+    then(std::move(outcome));
+    return;
   }
   const std::string src = stem + ".cpp";
   const std::string bin = stem + ".bin";
@@ -281,7 +313,7 @@ SubprocessExecutor::submit_compile(const TestCase& test, std::size_t impl_index,
                 telemetry::hex_fingerprint(test.program.fingerprint()) +
                 "\",\"impl\":\"" + impl.name + "\"";
   }
-  pool_->submit(std::move(job), [promise, bin, span_start_ns,
+  pool_->submit(std::move(job), [then = std::move(then), bin, span_start_ns,
                                 span_args = std::move(span_args)](
                                    ProcessResult compile) {
     if (span_start_ns != 0) {
@@ -298,15 +330,12 @@ SubprocessExecutor::submit_compile(const TestCase& test, std::size_t impl_index,
       outcome.bin = bin;
     } else {
       // No binary. A compiler diagnosing/rejecting the program (nonzero
-      // exit with output) is a real observation; a timeout or an
-      // unspawnable compile (exit 127, no output) is the harness failing.
-      outcome.harness_failure =
-          compile.timed_out ||
-          (compile.exit_code == 127 && compile.output.empty());
+      // exit with output) is a real observation; a timeout or a lost
+      // compile is the harness failing.
+      outcome.harness_failure = compile.timed_out || compile.is_lost();
     }
-    promise->set_value(std::move(outcome));
+    then(std::move(outcome));
   });
-  return future;
 }
 
 core::RunResult SubprocessExecutor::classify(const ProcessResult& proc,
@@ -319,11 +348,9 @@ core::RunResult SubprocessExecutor::classify(const ProcessResult& proc,
   }
   if (proc.signaled || proc.exit_code != 0) {
     result.status = core::RunStatus::Crash;
-    // Exit 127 with no output is the process pool's fabricated result for a
-    // child it could not spawn (fork/pipe exhaustion) — a harness failure,
-    // not an observation of the implementation. Generated binaries return
-    // 0/2 or die by signal, so this shape cannot be a genuine test outcome.
-    result.harness_failure = proc.exit_code == 127 && proc.output.empty();
+    // A lost child is a harness failure, not an observation of the
+    // implementation.
+    result.harness_failure = proc.is_lost();
     return result;
   }
 
@@ -351,85 +378,71 @@ std::vector<core::RunResult> SubprocessExecutor::run_batch(
     OMPFUZZ_CHECK(input_index < test.inputs.size(), "input index out of range");
   }
 
-  // Stage 1 — compile queue: one in-flight compile per implementation of
-  // this program (cross-program concurrency comes from the shared pool:
-  // other campaign workers' batches overlap these). The stem is registered
-  // before its source is written, so every file lands under the owner that
-  // unlinks it.
+  // One compile per implementation of this program (cross-program
+  // concurrency comes from the shared pool: other campaign workers' batches
+  // overlap these). Each compile's completion submits that implementation's
+  // runs — readiness order, not impl order: a slow gcc compile must not gate
+  // the runs of an already-built clang binary. Quiet-timing mode marks the
+  // runs exclusive so the pool runs them one at a time with nothing else in
+  // flight. The stem is registered before its source is written, so every
+  // file lands under the owner that unlinks it.
+  BatchArtifacts artifacts;
+  const std::shared_ptr<Batch>& batch = artifacts.batch;
+  for (const std::size_t input_index : input_indices) {
+    batch->inputs.push_back(test.inputs[input_index].to_argv());
+  }
+  batch->results.resize(input_indices.size() * impls.size());
   const std::string fingerprint =
       telemetry::hex_fingerprint(test.program.fingerprint());
-  BatchArtifacts artifacts;
-  std::vector<std::future<CompileOutcome>>& binaries = artifacts.compiles;
-  binaries.reserve(impls.size());
-  for (const auto& impl : impls) {
-    const std::size_t index = index_of(impl);
+  for (std::size_t j = 0; j < impls.size(); ++j) {
+    const std::size_t index = index_of(impls[j]);
     artifacts.stems.push_back(options_.work_dir + "/" + test.program.name() +
-                              "_" + fingerprint + "_" + impl + "_" +
+                              "_" + fingerprint + "_" + impls[j] + "_" +
                               std::to_string(next_stem_.fetch_add(1)));
-    binaries.push_back(submit_compile(test, index, artifacts.stems.back()));
-  }
-
-  // Stage 2 — run queue: each implementation's runs enter the pool as soon
-  // as ITS compile finishes (readiness order, not impl order — a slow
-  // gcc compile must not gate the runs of an already-built clang binary);
-  // quiet-timing mode marks them exclusive so the pool runs them one at a
-  // time with nothing else in flight.
-  const std::size_t n = input_indices.size() * impls.size();
-  std::vector<core::RunResult> results(n);
-  std::vector<std::future<ProcessResult>> children(n);
-  const auto submit_runs = [&](std::size_t j) {
-    const CompileOutcome compile = binaries[j].get();
-    for (std::size_t i = 0; i < input_indices.size(); ++i) {
-      const std::size_t k = i * impls.size() + j;
-      if (compile.bin.empty()) {
-        // A compiler that rejects a valid program is itself a correctness
-        // bug; surfaced like an abnormal termination. A compile the harness
-        // failed to run at all is marked so the result is never persisted.
-        results[k].impl = impls[j];
-        results[k].status = core::RunStatus::Crash;
-        results[k].harness_failure = compile.harness_failure;
-        continue;
+    const auto submit_runs = [this, batch, j, width = impls.size(),
+                              impl = impls[j]](const CompileOutcome& compile) {
+      for (std::size_t i = 0; i < batch->inputs.size(); ++i) {
+        const std::size_t k = i * width + j;
+        if (compile.bin.empty()) {
+          // A compiler that rejects a valid program is itself a correctness
+          // bug; surfaced like an abnormal termination. A compile the
+          // harness failed to run at all is marked so the result is never
+          // persisted.
+          batch->results[k].impl = impl;
+          batch->results[k].status = core::RunStatus::Crash;
+          batch->results[k].harness_failure = compile.harness_failure;
+          continue;
+        }
+        ProcessJob job;
+        job.argv.push_back(compile.bin);
+        job.argv.insert(job.argv.end(), batch->inputs[i].begin(),
+                        batch->inputs[i].end());
+        job.timeout_ms = options_.run_timeout_ms;
+        job.exclusive = !options_.concurrent_runs;
+        batch->add_job();
+        try {
+          pool_->submit(std::move(job), [batch, k, impl](ProcessResult run) {
+            batch->results[k] = classify(run, impl);
+            batch->job_done();
+          });
+        } catch (const Error&) {
+          // Only a shutting-down pool refuses a job: the run never starts.
+          batch->results[k] = classify(ProcessResult::lost(), impl);
+          batch->job_done();
+        }
       }
-      ProcessJob job;
-      job.argv.push_back(compile.bin);
-      for (auto& arg : test.inputs[input_indices[i]].to_argv()) {
-        job.argv.push_back(std::move(arg));
-      }
-      job.timeout_ms = options_.run_timeout_ms;
-      job.exclusive = !options_.concurrent_runs;
-      children[k] = pool_->submit(std::move(job));
-    }
-  };
-  std::vector<bool> submitted(impls.size(), false);
-  std::size_t outstanding = impls.size();
-  while (outstanding > 0) {
-    bool progressed = false;
-    for (std::size_t j = 0; j < impls.size(); ++j) {
-      if (submitted[j] || binaries[j].wait_for(std::chrono::seconds(0)) !=
-                              std::future_status::ready) {
-        continue;
-      }
-      submit_runs(j);
-      submitted[j] = true;
-      --outstanding;
-      progressed = true;
-    }
-    if (outstanding == 0 || progressed) continue;
-    // Nothing newly ready: nap on one outstanding compile. The 10 ms
-    // granularity is noise against compile times, and only this worker
-    // thread naps — the pool keeps every child running.
-    for (std::size_t j = 0; j < impls.size(); ++j) {
-      if (!submitted[j]) {
-        (void)binaries[j].wait_for(std::chrono::milliseconds(10));
-        break;
-      }
+      batch->job_done();  // the compile, released once its runs are counted
+    };
+    batch->add_job();
+    try {
+      submit_compile(test, index, artifacts.stems.back(), submit_runs);
+    } catch (...) {
+      batch->job_done();  // never submitted, so its continuation never runs
+      throw;
     }
   }
-  for (std::size_t k = 0; k < n; ++k) {
-    if (!children[k].valid()) continue;  // compile failure, already Crash
-    results[k] = classify(children[k].get(), impls[k % impls.size()]);
-  }
-  return results;
+  batch->wait_idle();
+  return std::move(batch->results);
 }
 
 core::RunResult SubprocessExecutor::run(const TestCase& test,

@@ -9,18 +9,22 @@
 //   * timeout -> HANG (the driver stops the process, Section IV-C),
 //   * signal, nonzero exit, or unparseable output -> CRASH.
 //
-// Execution is pipelined through an AsyncProcessPool (async_process.hpp):
-// run_batch() feeds a compile stage where the batch's implementations
-// compile concurrently into a run stage that keeps up to `max_inflight` test
-// children in flight. With concurrent_runs = false (quiet-timing mode) timed
-// test runs are submitted as exclusive jobs: the pool drains and runs them
-// alone, so compiles on other workers can't inflate the self-reported times
-// the outlier analysis compares.
+// Every child goes through one AsyncProcessPool (async_process.hpp):
+// run_batch() submits the batch's compiles at once, and each compile's
+// completion callback submits that implementation's runs to the pool itself,
+// so runs start in the order compiles finish and no thread polls for them.
+// Up to `max_inflight` children are in flight. With concurrent_runs = false
+// (quiet-timing mode) timed test runs are submitted as exclusive jobs: the
+// pool drains and runs them alone, so compiles on other workers can't
+// inflate the self-reported times the outlier analysis compares. The
+// constructor throws when a compile command's argv[0] does not resolve to an
+// executable file, so a misspelled compiler fails before any campaign runs.
 //
 // Artifact lifetime is private to this class: each run_batch call owns the
 // sources and binaries it compiles and unlinks them before it returns, on
-// the exception path too (after waiting for the compiles it submitted), so
-// a campaign or reduction leaves work_dir empty apart from the PCH below.
+// the exception path too (after waiting for every compile and run it
+// submitted), so a campaign or reduction leaves work_dir empty apart from
+// the PCH below.
 // Nothing is reused across calls: the campaign issues one call per
 // (program, backend) unit and the reducer's oracle answers revisited
 // candidates from its memo, so a retry after a harness failure recompiles.
@@ -53,7 +57,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <future>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -108,7 +112,8 @@ struct SubprocessOptions {
 class SubprocessExecutor final : public Executor {
  public:
   /// Creates work_dir (and any missing parents); throws ompfuzz::Error
-  /// naming the directory when it cannot.
+  /// naming the directory when it cannot, or naming the implementation when
+  /// its command's argv[0] does not resolve to an executable file.
   SubprocessExecutor(std::vector<ImplementationSpec> impls,
                      SubprocessOptions options);
   /// Stops the pool (killing any in-flight PCH build), then removes
@@ -123,8 +128,9 @@ class SubprocessExecutor final : public Executor {
                                     const std::string& impl_name) override;
 
   /// The pipelined path: compiles every implementation of `test`
-  /// concurrently, then overlaps the runs (exclusive jobs when quiet-timing
-  /// mode is on). run() forwards here with a single-element batch.
+  /// concurrently; each compile's completion submits its runs (exclusive
+  /// jobs when quiet-timing mode is on). run() forwards here with a
+  /// single-element batch.
   [[nodiscard]] std::vector<core::RunResult> run_batch(
       const TestCase& test, const std::vector<std::size_t>& input_indices,
       const std::vector<std::string>& impls) override;
@@ -153,7 +159,9 @@ class SubprocessExecutor final : public Executor {
     bool harness_failure = false;
   };
 
-  /// The files and compiles one run_batch call owns (defined in the .cpp).
+  /// What one run_batch call shares with its pool callbacks, and the files
+  /// it owns (both defined in the .cpp).
+  struct Batch;
   struct BatchArtifacts;
 
   /// Per-implementation precompiled-prelude state, guarded by prelude_mutex_.
@@ -167,9 +175,12 @@ class SubprocessExecutor final : public Executor {
   };
 
   /// Emits `test` to `<stem>.cpp` and submits its compile with impls_[impl]
-  /// into `<stem>.bin`; the caller owns both files.
-  [[nodiscard]] std::future<CompileOutcome> submit_compile(
-      const TestCase& test, std::size_t impl, const std::string& stem);
+  /// into `<stem>.bin`; the caller owns both files. `then` runs exactly once
+  /// with the outcome (on the pool thread, or inline for an injected spawn
+  /// fault) unless this throws.
+  void submit_compile(const TestCase& test, std::size_t impl,
+                      const std::string& stem,
+                      std::function<void(CompileOutcome)> then);
 
   /// Writes impls_[impl]'s prelude header and submits its PCH build. Any
   /// failure, thrown or not, marks the prelude Failed and is counted.

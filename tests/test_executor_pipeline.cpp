@@ -71,10 +71,14 @@ std::string make_stub_compiler(const std::string& dir, const std::string& name,
 
 /// A stub compiler that fails unless its source exists, appends the source
 /// path ($1) to `log`, and sleeps `sleep_s` seconds before writing the binary.
+/// A non-empty `run_log` makes the binary append a line to it on every run.
 std::string make_logging_stub_compiler(const std::string& dir,
                                        const std::string& log,
-                                       const std::string& sleep_s = "0") {
-  return make_stub_compiler(dir, "logging_cc", "echo 1\necho \"time_us: 10\"\n",
+                                       const std::string& sleep_s = "0",
+                                       const std::string& run_log = "") {
+  const std::string log_run = run_log.empty() ? "" : "echo run >> " + run_log + "\n";
+  return make_stub_compiler(dir, "logging_cc",
+                            log_run + "echo 1\necho \"time_us: 10\"\n",
                             "test -f \"$1\" || exit 1\n"
                             "echo \"$1\" >> " + log + "\n"
                             "sleep " + sleep_s + "\n");
@@ -490,6 +494,43 @@ TEST(QuietTiming, ConcurrentModeDoesOverlapRuns) {
   EXPECT_GT(overlapping, 0) << "pipeline never ran two test children at once";
 }
 
+TEST(RunBatch, RunsStartInTheOrderCompilesFinish) {
+  // Each compile's completion submits its own runs: the quick second
+  // implementation's runs must not wait for the slow first compile.
+  const std::string dir = temp_dir();
+  const std::string slow_end = dir + "/slow_compile_end";
+  const std::string fast_runs = dir + "/fast_runs";
+  const std::string stamp = "date +%s%N";
+  const std::string slow =
+      make_stub_compiler(dir, "slow", stamp + " >> " + dir + "/slow_runs\necho 1\n",
+                         "sleep 0.8\n" + stamp + " > " + slow_end + "\n");
+  const std::string fast = make_stub_compiler(
+      dir, "fast", stamp + " >> " + fast_runs + "\necho 1\n");
+  SubprocessOptions opt;
+  opt.work_dir = dir + "/work";
+  opt.concurrent_runs = true;  // exclusive runs would wait for the slow compile
+  opt.max_inflight = 4;
+  SubprocessExecutor exec({{"slow", slow + " {src} {bin}", ""},
+                           {"fast", fast + " {src} {bin}", ""}},
+                          opt);
+  Campaign campaign(stub_campaign_config(1, 1), exec);
+  TestCase test = campaign.make_test_case(0);
+  test.inputs.push_back(test.inputs.front());
+  test.inputs.push_back(test.inputs.front());
+  const auto results = exec.run_batch(test, {0, 1, 2}, {"slow", "fast"});
+  for (const auto& run : results) EXPECT_EQ(run.status, core::RunStatus::Ok);
+
+  const std::vector<std::string> end = read_lines(slow_end);
+  const std::vector<std::string> runs = read_lines(fast_runs);
+  ASSERT_EQ(end.size(), 1u);
+  ASSERT_EQ(runs.size(), 3u);
+  ASSERT_EQ(read_lines(dir + "/slow_runs").size(), 3u);
+  for (const auto& start : runs) {
+    EXPECT_LT(std::stoll(start), std::stoll(end.front()))
+        << "a fast run waited for the slow compile";
+  }
+}
+
 // ------------------------------------------------------ classification -----
 
 TEST(SubprocessClassify, UnparseableFirstLineIsCrash) {
@@ -623,6 +664,30 @@ TEST(SubprocessWorkDir, UncreatableWorkDirThrowsAtConstruction) {
   }
 }
 
+TEST(SubprocessWorkDir, UnresolvableCompilerThrowsAtConstruction) {
+  // A misspelled compiler must fail before any campaign runs, naming the
+  // implementation and its argv[0] — not surface as lost children that are
+  // retried and quarantined triple by triple.
+  const std::string dir = temp_dir();
+  const std::string not_executable = dir + "/plain.sh";
+  std::ofstream(not_executable) << "#!/bin/sh\n";
+  SubprocessOptions opt;
+  opt.work_dir = dir + "/work";
+  for (const std::string& cc :
+       {std::string("g+++"), dir + "/no/such/compiler", dir, not_executable}) {
+    try {
+      SubprocessExecutor exec({{"alpha", "/bin/true {src} {bin}", ""},
+                               {"beta", cc + " {src} {bin}", ""}},
+                              opt);
+      ADD_FAILURE() << "compiler '" << cc << "' was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'beta'"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + cc + "'"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(SubprocessWorkDir, CampaignLeavesNoArtifacts) {
   // Each run_batch call unlinks the sources and binaries it compiled; stub
   // compilers never get a PCH, so nothing at all remains.
@@ -678,13 +743,15 @@ TEST(SubprocessWorkDir, ConcurrentBatchesOfOneProgramDoNotCollide) {
 
 TEST(SubprocessWorkDir, ThrowingBatchLeavesNoArtifacts) {
   // The unknown second implementation throws after the first compile was
-  // submitted; the batch waits for that compile before unlinking, so no
-  // late binary appears once run_batch has thrown.
+  // submitted; the batch waits for that compile and the runs it chains
+  // before unlinking, so no late binary appears and no run starts once
+  // run_batch has thrown.
   const std::string dir = temp_dir();
+  const std::string runs = dir + "/runs.log";
   SubprocessOptions opt;
   opt.work_dir = dir + "/work";
   SubprocessExecutor exec(
-      {{"cc", make_logging_stub_compiler(dir, dir + "/compiles.log", "0.3") +
+      {{"cc", make_logging_stub_compiler(dir, dir + "/compiles.log", "0.3", runs) +
                   " {src} {bin}",
         ""}},
       opt);
@@ -692,9 +759,12 @@ TEST(SubprocessWorkDir, ThrowingBatchLeavesNoArtifacts) {
   EXPECT_THROW((void)exec.run_batch(campaign.make_test_case(0), {0},
                                     {"cc", "missing"}),
                Error);
+  const std::size_t runs_at_throw = read_lines(runs).size();
   EXPECT_EQ(read_lines(dir + "/compiles.log").size(), 1u);
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   EXPECT_TRUE(std::filesystem::is_empty(opt.work_dir));
+  EXPECT_EQ(read_lines(runs).size(), runs_at_throw)
+      << "a run started after run_batch threw";
 }
 
 // ------------------------------------------------- precompiled prelude ----

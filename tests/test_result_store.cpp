@@ -485,18 +485,21 @@ TEST(WarmCache, PartialHitsOnlyExecuteTheMissingTriples) {
 }
 
 TEST(WarmCache, HarnessFailuresAreNeverPersisted) {
-  // A compile the harness cannot even spawn (missing compiler binary)
-  // fabricates Crash results — those must not poison the store: the next
-  // run has to try again, not replay the hiccup.
+  // A compile the harness cannot even spawn (its compiler vanished after
+  // the executors were built) fabricates Crash results — those must not
+  // poison the store: the next run has to try again, not replay the hiccup.
   const std::string dir = temp_dir();
-  std::vector<ImplementationSpec> impls = {
-      {"ghost", dir + "/no_such_compiler.sh {src} {bin}", ""}};
+  const std::string ghost = dir + "/vanishing_compiler.sh";
+  write_script(ghost, "#!/bin/sh\nexit 0\n");
+  std::vector<ImplementationSpec> impls = {{"ghost", ghost + " {src} {bin}", ""}};
   SubprocessOptions opt;
   opt.work_dir = dir + "/work";
   opt.concurrent_runs = true;
 
   ResultStore store(store_config(dir + "/store"));
   SubprocessExecutor exec(impls, opt);
+  SubprocessExecutor exec2(impls, opt);
+  ASSERT_EQ(std::remove(ghost.c_str()), 0);
   Campaign campaign(stub_campaign_config(2, 1), exec);
   campaign.set_result_store(&store);
   const auto result = campaign.run();
@@ -507,7 +510,6 @@ TEST(WarmCache, HarnessFailuresAreNeverPersisted) {
   EXPECT_EQ(store.stats().puts, 0u) << "transient failure persisted to store";
 
   ResultStore reread(store_config(dir + "/store"));
-  SubprocessExecutor exec2(impls, opt);
   Campaign second(stub_campaign_config(2, 1), exec2);
   second.set_result_store(&reread);
   (void)second.run();
