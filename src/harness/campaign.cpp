@@ -36,7 +36,12 @@ void StaticAnalysisStats::add_draft(const ast::Program& draft,
   interval_disjoint_pairs += precision.interval_disjoint_pairs;
   interval_mod_rewrites += precision.mod_rewrites;
   if (report.race_free()) {
-    if (!analysis::analyze_races(draft, {.use_intervals = false}).race_free()) {
+    // A clean draft on which no interval pair and no mod rewrite fired has
+    // the same subscript classes and conflicts affine-only: nothing rescued.
+    const bool intervals_fired =
+        precision.interval_disjoint_pairs != 0 || precision.mod_rewrites != 0;
+    if (intervals_fired &&
+        !analysis::analyze_races(draft, {.use_intervals = false}).race_free()) {
       ++interval_rescued_drafts;
     }
     return;
@@ -163,22 +168,21 @@ TestCase Campaign::make_test_case(int program_index,
 namespace {
 
 /// Everything one (program, backend) unit produces: the raw runs of that
-/// backend's implementation subset, input-major. Classification happens
-/// after ALL backends of a program completed — the outlier analysis compares
-/// an implementation against the whole team, which spans backends.
+/// backend's implementation subset, input-major. Classification waits for
+/// ALL backends of a program — the outlier analysis compares an
+/// implementation against the whole team, which spans backends — and is done
+/// by the unit that completes the program.
 struct SubShard {
   /// Any run fabricated by a harness failure (compile/spawn infrastructure
   /// error): the sub-shard is merged like any other, but it counts against
   /// its backend's health.
   bool tainted = false;
-  StaticAnalysisStats analysis;  ///< the program's drafts, from make_test_case
-  std::string program_name;
-  std::vector<std::string> input_texts;  ///< one per input
-  std::vector<core::RunResult> runs;     ///< inputs x backend impls, input-major
+  std::vector<core::RunResult> runs;  ///< inputs x backend impls, input-major
 };
 
-/// One program's merged result, assembled in program order by the merge
-/// phase so a scheduled campaign is bit-identical to a serial one.
+/// One program's classified result, built by the unit that completes the
+/// program and aggregated in program order so a scheduled campaign is
+/// bit-identical to a serial one.
 struct MergedShard {
   std::vector<TestOutcome> outcomes;
   std::vector<DivergentTriple> divergent;
@@ -201,26 +205,26 @@ void classify_outcome(TestOutcome& outcome, const core::OutlierDetector& detecto
       core::analyze_run_outputs(outcome.runs, core::exact_tolerance());
 }
 
-/// The outcome's time-independent verdict class, derived from the already
-/// computed divergence so it cannot drift from what classify_outcome stored.
-core::VerdictClass outcome_class(const TestOutcome& outcome) {
-  return core::classify_runs(outcome.runs, outcome.divergence);
-}
-
-/// Retains every divergent (program, input) pair of one shard — AST clone,
-/// input values, emitted source — so the reducer and the reports can work
-/// from the campaign's own artifacts instead of re-generating from the seed.
-void collect_divergent(MergedShard& shard, const TestCase& test, int p) {
+/// Retains every divergent (program, input) pair of one shard — AST, input
+/// values, emitted source — from the TestCase its runs were executed on, so
+/// the reducer and the reports work from the campaign's own artifacts. The
+/// first triple takes over `test.program`; later ones get copies.
+void collect_divergent(MergedShard& shard, TestCase& test, int p) {
   std::string source;  // emitted once, shared by all divergent inputs
   for (const TestOutcome& outcome : shard.outcomes) {
-    const core::VerdictClass cls = outcome_class(outcome);
+    // The time-independent verdict class, derived from the stored
+    // divergence so it cannot drift from what classify_outcome computed.
+    const core::VerdictClass cls =
+        core::classify_runs(outcome.runs, outcome.divergence);
     if (!cls.divergent()) continue;
     if (source.empty()) source = emit::emit_translation_unit(test.program);
     DivergentTriple triple;
     triple.program_index = p;
     triple.input_index = outcome.input_index;
     triple.program_name = outcome.program_name;
-    triple.program = test.program.clone();
+    triple.program = shard.divergent.empty()
+                         ? std::move(test.program)
+                         : shard.divergent.front().program.clone();
     triple.input = test.inputs[static_cast<std::size_t>(outcome.input_index)];
     triple.source = source;
     triple.input_text = outcome.input_text;
@@ -240,21 +244,6 @@ core::RunResult fabricated_run(const std::string& impl_name) {
   result.status = core::RunStatus::Crash;
   result.harness_failure = true;
   return result;
-}
-
-/// The program metadata every sub-shard of program `p` carries, whatever
-/// produced its runs: name, static-analysis accounting, and input
-/// serializations.
-SubShard shard_metadata(const TestCase& test, const StaticAnalysisStats& analysis,
-                        std::size_t num_inputs) {
-  SubShard shard;
-  shard.analysis = analysis;
-  shard.program_name = test.program.name();
-  shard.input_texts.resize(num_inputs);
-  for (std::size_t i = 0; i < num_inputs; ++i) {
-    shard.input_texts[i] = test.inputs[i].to_string();
-  }
-  return shard;
 }
 
 /// Implementations that share the same set of still-needed inputs, dispatched
@@ -287,11 +276,12 @@ std::vector<BatchGroup> group_pending(const std::vector<char>& need,
   return groups;
 }
 
-/// Generates program `p` and runs every (input, implementation) pair of ONE
-/// backend's implementation subset that is not already in the result store.
-/// Pure function of the campaign config, the backend's executor, and the
-/// store contents (the store only ever holds what the executor would have
-/// produced); `exec_mutex` serializes executor calls when the backend is not
+/// Runs every (input, implementation) pair of program `p` — `test`, which
+/// the unit generated — under ONE backend's implementation subset that is
+/// not already in the result store, and returns the raw runs unclassified.
+/// Pure function of the test, the backend's executor, and the store contents
+/// (the store only ever holds what the executor would have produced);
+/// `exec_mutex` serializes executor calls when the backend is not
 /// thread-safe.
 ///
 /// Fault tolerance: a batch the executor cannot deliver (it threw, returned
@@ -303,36 +293,28 @@ std::vector<BatchGroup> group_pending(const std::vector<char>& need,
 /// transient fault leaves no trace in the merged result. Retrying stops
 /// early when `backend_dead` flips: the campaign's quarantine path takes
 /// over from there.
-///
-/// Each unit regenerates its own TestCase, so an N-backend campaign runs the
-/// generator N times per program. Deliberate: units are backend-major, so
-/// one program's units can be claimed arbitrarily far apart — sharing the
-/// TestCase would hold up to num_programs ASTs live at once, and generation
-/// is a bounded CPU cost per unit where the executed runs (compiles, test
-/// children, interpretation) dominate.
-SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
-                        std::mutex* exec_mutex,
+SubShard run_shard_unit(const Campaign& campaign, const TestCase& test,
+                        Executor& executor, std::mutex* exec_mutex,
                         const std::vector<std::string>& impl_names,
                         const std::vector<std::string>& impl_identities,
                         ResultStore* store, int p, int backend_index,
                         const CampaignMetrics& metrics,
                         const std::atomic<bool>& backend_dead) {
   telemetry::ScopedSpan span("run-batch", "shard_unit");
-  StaticAnalysisStats analysis;
-  const TestCase test = campaign.make_test_case(p, &analysis);
   const std::uint64_t fingerprint = test.program.fingerprint();
   if (span.active()) {
     span.arg("program", p);
     span.arg("backend", backend_index);
     span.arg("fingerprint", telemetry::hex_fingerprint(fingerprint));
   }
-  const std::size_t ni =
-      static_cast<std::size_t>(campaign.config().inputs_per_program);
+  const std::size_t ni = test.inputs.size();
   const std::size_t nj = impl_names.size();
-  SubShard shard = shard_metadata(test, analysis, ni);
+  std::vector<std::string> input_texts;
+  input_texts.reserve(ni);
+  for (const auto& input : test.inputs) input_texts.push_back(input.to_string());
 
   const auto key_for = [&](std::size_t i, std::size_t j) {
-    return RunKey{fingerprint, shard.input_texts[i], impl_identities[j]};
+    return RunKey{fingerprint, input_texts[i], impl_identities[j]};
   };
 
   // Consult the run cache triple-by-triple. An implementation with an empty
@@ -437,32 +419,23 @@ SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
     dispatch_pending();
   }
 
-  shard.tainted = std::any_of(runs.begin(), runs.end(),
-                              [](const core::RunResult& r) {
-                                return r.harness_failure;
-                              });
-  shard.runs = std::move(runs);
-  return shard;
+  const bool tainted = std::any_of(runs.begin(), runs.end(),
+                                   [](const core::RunResult& r) {
+                                     return r.harness_failure;
+                                   });
+  return {tainted, std::move(runs)};
 }
 
-/// Sub-shard of a dead backend: every run is a fabricated harness failure,
-/// but the program metadata (name, input serializations, static-analysis
-/// accounting) is still generated for real so the merge sees the same
-/// program every healthy backend sees — a dead backend can be row[0].
-SubShard fabricate_shard_unit(const Campaign& campaign,
-                              const std::vector<std::string>& impl_names,
-                              int p) {
-  const auto ni = static_cast<std::size_t>(campaign.config().inputs_per_program);
-  StaticAnalysisStats analysis;
-  const TestCase test = campaign.make_test_case(p, &analysis);
-  SubShard shard = shard_metadata(test, analysis, ni);
-  shard.runs.reserve(ni * impl_names.size());
-  for (std::size_t i = 0; i < ni; ++i) {
+/// Sub-shard of a dead backend: every run is a fabricated harness failure.
+SubShard fabricate_shard_unit(const std::vector<std::string>& impl_names,
+                              std::size_t num_inputs) {
+  SubShard shard{.tainted = true, .runs = {}};
+  shard.runs.reserve(num_inputs * impl_names.size());
+  for (std::size_t i = 0; i < num_inputs; ++i) {
     for (const auto& name : impl_names) {
       shard.runs.push_back(fabricated_run(name));
     }
   }
-  shard.tainted = true;
   return shard;
 }
 
@@ -503,9 +476,43 @@ RunPlan plan_run(const std::vector<CampaignBackend>& backends) {
 
 // --------------------------------------------------------- execute phase ----
 
+/// Joins program `p`'s sub-shards — backend columns concatenated per input
+/// row — classifies every outcome, and retains the divergent ones from
+/// `test`, the TestCase the completing unit executed (its program is moved
+/// into the first divergent triple). `analysis` is that unit's draft
+/// accounting (every unit of a program has the same).
+MergedShard merge_program(const RunPlan& plan, const core::OutlierDetector& detector,
+                          TestCase& test, const StaticAnalysisStats& analysis,
+                          int p, std::vector<SubShard>& row) {
+  telemetry::ScopedSpan span("campaign", "classify_program");
+  if (span.active()) span.arg("program", p);
+  MergedShard shard;
+  shard.analysis = analysis;
+  const std::size_t ni = test.inputs.size();
+  shard.outcomes.reserve(ni);
+  for (std::size_t i = 0; i < ni; ++i) {
+    TestOutcome outcome;
+    outcome.program_index = p;
+    outcome.input_index = static_cast<int>(i);
+    outcome.program_name = test.program.name();
+    outcome.input_text = test.inputs[i].to_string();
+    for (std::size_t b = 0; b < row.size(); ++b) {
+      const std::size_t nj = plan.impls[b].size();
+      const auto begin = row[b].runs.begin() + static_cast<std::ptrdiff_t>(i * nj);
+      outcome.runs.insert(outcome.runs.end(), std::make_move_iterator(begin),
+                          std::make_move_iterator(
+                              begin + static_cast<std::ptrdiff_t>(nj)));
+    }
+    classify_outcome(outcome, detector);
+    shard.outcomes.push_back(std::move(outcome));
+  }
+  collect_divergent(shard, test, p);
+  return shard;
+}
+
 /// What the execute phase hands to the merge.
 struct Execution {
-  std::vector<std::vector<SubShard>> grid;  ///< [program][backend]
+  std::vector<MergedShard> programs;  ///< classified, indexed by program
   /// Backends declared dead, in backend order.
   std::vector<std::string> lost_backends;
   SchedulerStats scheduler_stats;
@@ -515,13 +522,16 @@ struct Execution {
 /// workers. Units are deterministic in isolation thanks to the per-program
 /// RandomEngine::fork streams in make_test_case, and every executed triple
 /// reaches the store as its unit completes, so a killed campaign re-run on
-/// the same store executes only the triples that never got there.
+/// the same store executes only the triples that never got there. The unit
+/// that completes a program classifies it (merge_program) from its own
+/// TestCase, so no program is generated again for the merge.
 Execution execute_units(const Campaign& campaign, const RunPlan& plan,
                         ResultStore* store, const CampaignMetrics& metrics,
                         const ProgressFn& progress) {
   const auto& backends = campaign.backends();
   const std::size_t nb = backends.size();
-  const int num_programs = campaign.config().num_programs;
+  const CampaignConfig& config = campaign.config();
+  const int num_programs = config.num_programs;
   const auto np = static_cast<std::size_t>(num_programs);
 
   // Backend health: a backend whose units keep coming back fully exhausted
@@ -535,17 +545,18 @@ Execution execute_units(const Campaign& campaign, const RunPlan& plan,
   };
   std::vector<BackendHealth> health(nb);
   metrics.live_backends->set(static_cast<std::int64_t>(nb));
-  const int death_threshold = campaign.config().retry.backend_death_threshold;
+  const int death_threshold = config.retry.backend_death_threshold;
 
-  // Executes one (program, backend) unit, or fabricates it once the backend
-  // is dead, updating the health streak.
-  const auto execute_unit = [&](std::size_t b, int p) -> SubShard {
+  // Executes one (program, backend) unit on `test`, or fabricates it once
+  // the backend is dead, updating the health streak.
+  const auto execute_unit = [&](std::size_t b, const TestCase& test,
+                                int p) -> SubShard {
     if (health[b].dead.load(std::memory_order_acquire)) {
       metrics.fabricated_units->add();
-      return fabricate_shard_unit(campaign, plan.impls[b], p);
+      return fabricate_shard_unit(plan.impls[b], test.inputs.size());
     }
     SubShard shard = run_shard_unit(
-        campaign, *backends[b].executor, plan.exec_mutexes[b].get(),
+        campaign, test, *backends[b].executor, plan.exec_mutexes[b].get(),
         plan.impls[b], plan.identities[b], store, p, static_cast<int>(b),
         metrics, health[b].dead);
     if (!shard.tainted) {
@@ -561,8 +572,15 @@ Execution execute_units(const Campaign& campaign, const RunPlan& plan,
     return shard;
   };
 
+  core::OutlierParams params;
+  params.alpha = config.alpha;
+  params.beta = config.beta;
+  params.min_time_us = static_cast<double>(config.min_time_us);
+  const core::OutlierDetector detector(params);
+
   Execution out;
-  out.grid.assign(np, std::vector<SubShard>(nb));
+  out.programs.resize(np);
+  std::vector<std::vector<SubShard>> grid(np, std::vector<SubShard>(nb));
   std::vector<std::atomic<int>> remaining(np);
   for (auto& left : remaining) left.store(static_cast<int>(nb), std::memory_order_relaxed);
 
@@ -575,15 +593,23 @@ Execution execute_units(const Campaign& campaign, const RunPlan& plan,
 
   // Unit u is program u % np under backend u / np: backend-major, programs
   // in order within each backend. The pool hands units out FIFO, so one
-  // worker runs them in exactly this order.
+  // worker runs them in exactly this order. Each unit generates its program
+  // once; the unit that brings remaining[p] to 0 sees every other unit's
+  // sub-shard (acq_rel) and classifies the program before freeing its row.
   const auto run_unit = [&](int u) {
     const std::size_t b = static_cast<std::size_t>(u) / np;
     const std::size_t p = static_cast<std::size_t>(u) % np;
+    const int program = static_cast<int>(p);
     const std::uint64_t t0 = telemetry::Tracer::now_ns();
-    out.grid[p][b] = execute_unit(b, static_cast<int>(p));
+    StaticAnalysisStats analysis;
+    TestCase test = campaign.make_test_case(program, &analysis);
+    grid[p][b] = execute_unit(b, test, program);
     metrics.unit_micros->record((telemetry::Tracer::now_ns() - t0) / 1000);
     metrics.units_done->add(1);
-    if (remaining[p].fetch_sub(1, std::memory_order_acq_rel) == 1 && progress) {
+    if (remaining[p].fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    out.programs[p] = merge_program(plan, detector, test, analysis, program, grid[p]);
+    grid[p] = std::vector<SubShard>();
+    if (progress) {
       const std::lock_guard<std::mutex> lock(progress_mutex);
       progress(++completed, num_programs);
     }
@@ -607,7 +633,7 @@ Execution execute_units(const Campaign& campaign, const RunPlan& plan,
     // Every unit runs, and reaches the store, before parallel_for rethrows
     // the first exception.
     ThreadPool pool(std::min(
-        resolve_thread_count(campaign.config().threads), num_units));
+        resolve_thread_count(config.threads), num_units));
     parallel_for(pool, static_cast<int>(num_units), run_unit);
   }
 
@@ -620,42 +646,6 @@ Execution execute_units(const Campaign& campaign, const RunPlan& plan,
 }
 
 // ----------------------------------------------------------- merge phase ----
-
-/// Joins program `p`'s sub-shards — backend columns concatenated per input
-/// row, static-analysis accounting from row[0] (every unit of a program has
-/// the same) — and classifies every outcome. Divergent triples need the AST,
-/// which no sub-shard retains, so the test case is regenerated, but only for
-/// divergent programs (the common non-divergent program merges without
-/// touching the generator).
-MergedShard merge_program(const Campaign& campaign, const RunPlan& plan,
-                          const core::OutlierDetector& detector, int p,
-                          std::vector<SubShard>& row) {
-  MergedShard shard;
-  shard.analysis = row[0].analysis;
-  const std::size_t ni = row[0].input_texts.size();
-  shard.outcomes.reserve(ni);
-  for (std::size_t i = 0; i < ni; ++i) {
-    TestOutcome outcome;
-    outcome.program_index = p;
-    outcome.input_index = static_cast<int>(i);
-    outcome.program_name = row[0].program_name;
-    outcome.input_text = row[0].input_texts[i];
-    for (std::size_t b = 0; b < row.size(); ++b) {
-      const std::size_t nj = plan.impls[b].size();
-      const auto begin = row[b].runs.begin() + static_cast<std::ptrdiff_t>(i * nj);
-      outcome.runs.insert(outcome.runs.end(), std::make_move_iterator(begin),
-                          std::make_move_iterator(
-                              begin + static_cast<std::ptrdiff_t>(nj)));
-    }
-    classify_outcome(outcome, detector);
-    shard.outcomes.push_back(std::move(outcome));
-  }
-  if (std::any_of(shard.outcomes.begin(), shard.outcomes.end(),
-                  [](const TestOutcome& o) { return outcome_class(o).divergent(); })) {
-    collect_divergent(shard, campaign.make_test_case(p), p);
-  }
-  return shard;
-}
 
 /// Folds one merged program into the campaign totals, static-analysis
 /// accounting, per-implementation outlier counts, and quarantine list.
@@ -696,22 +686,12 @@ void aggregate_program(MergedShard& shard, int p, CampaignResult& result) {
   }
 }
 
-/// The merge phase: programs in order, so the result does not depend on the
-/// thread count or sub-shard completion order.
-void merge_units(const Campaign& campaign, const RunPlan& plan,
-                 std::vector<std::vector<SubShard>>& grid,
-                 CampaignResult& result) {
+/// The merge phase: the classified programs in program order, so the result
+/// does not depend on the thread count or unit completion order.
+void merge_units(std::vector<MergedShard>& programs, CampaignResult& result) {
   telemetry::ScopedSpan merge_span("campaign", "merge");
-  const CampaignConfig& config = campaign.config();
-  core::OutlierParams params;
-  params.alpha = config.alpha;
-  params.beta = config.beta;
-  params.min_time_us = static_cast<double>(config.min_time_us);
-  const core::OutlierDetector detector(params);
-  for (int p = 0; p < config.num_programs; ++p) {
-    MergedShard shard = merge_program(campaign, plan, detector, p,
-                                      grid[static_cast<std::size_t>(p)]);
-    aggregate_program(shard, p, result);
+  for (std::size_t p = 0; p < programs.size(); ++p) {
+    aggregate_program(programs[p], static_cast<int>(p), result);
   }
 }
 
@@ -737,7 +717,7 @@ CampaignResult Campaign::run(const ProgressFn& progress) {
   scheduler_stats_ = std::move(execution.scheduler_stats);
   result.robustness.lost_backends = std::move(execution.lost_backends);
 
-  merge_units(*this, plan, execution.grid, result);
+  merge_units(execution.programs, result);
 
   // Size-bounded store GC: evict least-recently-used records until the
   // cache fits store.max_bytes (a no-op for an unbounded store).

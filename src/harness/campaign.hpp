@@ -55,9 +55,9 @@ struct ImplOutlierCounts {
 /// One divergent (program, input, implementation set) triple, retained with
 /// everything a test-case reducer or a bug report needs: the AST (the
 /// reducer's working representation), the parsed input values, and the
-/// emitted source + argv text (the reportable artifact). Without this the
-/// campaign would discard the program when its shard completes and the
-/// reducer would have to re-generate it from the seed.
+/// emitted source + argv text (the reportable artifact). The unit that
+/// completes a program builds its triples from the TestCase it executed, so
+/// neither the campaign nor the reducer generates the program again.
 struct DivergentTriple {
   int program_index = 0;
   int input_index = 0;
@@ -70,10 +70,11 @@ struct DivergentTriple {
 };
 
 /// Static-analysis accounting of the generation phase, folded by each unit's
-/// make_test_case as it analyses its program's drafts and summed by the
-/// merge (one unit per program). The draft stream is a pure function of the
-/// config, so the numbers are bit-identical across thread counts, backend
-/// splits, and store-backed reruns — they can live in the report JSON.
+/// make_test_case as it analyses its program's drafts; the unit that
+/// completes a program hands its accounting to the merge, which sums one per
+/// program. The draft stream is a pure function of the config, so the
+/// numbers are bit-identical across thread counts, backend splits, and
+/// store-backed reruns — they can live in the report JSON.
 struct StaticAnalysisStats {
   int programs_checked = 0;   ///< drafts run through analyze_races
   int programs_filtered = 0;  ///< racy drafts discarded and regenerated
@@ -93,8 +94,10 @@ struct StaticAnalysisStats {
   /// rewrites, reclassifying the subscript for the affine test.
   std::uint64_t interval_mod_rewrites = 0;
 
-  /// Folds one draft, with its race-filter report and interval counters; a
-  /// clean draft is analysed again affine-only to count a rescue.
+  /// Folds one draft, with its race-filter report and interval counters. A
+  /// clean draft on which an interval pair or a mod rewrite fired is
+  /// analysed again affine-only to count a rescue; with both counters at 0
+  /// the affine-only verdict is the same, so that pass is skipped.
   void add_draft(const ast::Program& draft, const analysis::RaceReport& report,
                  const analysis::AnalyzerStats& precision);
   StaticAnalysisStats& operator+=(const StaticAnalysisStats& other);
@@ -211,9 +214,10 @@ class Campaign {
   /// (verdicts are recomputed from the raw runs).
   [[nodiscard]] CampaignResult run(const ProgressFn& progress = nullptr);
 
-  /// Generates the i-th test case of this campaign (exposed so benches can
-  /// re-create a specific test for case-study analysis), folding every draft
-  /// it analyses into `accounting` when one is given.
+  /// Generates the i-th test case of this campaign, folding every draft it
+  /// analyses into `accounting` when one is given. A campaign calls it once
+  /// per (program, backend) unit; it is public so benches and the case-study
+  /// analysis can re-create a specific test.
   [[nodiscard]] TestCase make_test_case(
       int program_index, StaticAnalysisStats* accounting = nullptr) const;
 

@@ -29,6 +29,7 @@ std::string_view strip_comment(std::string_view line) noexcept {
 
 ConfigFile ConfigFile::parse(const std::string& text) {
   ConfigFile cfg;
+  std::map<std::string, int> key_lines;  // full key -> line that set it
   std::string section;
   int line_no = 0;
   std::istringstream in(text);
@@ -53,7 +54,14 @@ ConfigFile ConfigFile::parse(const std::string& text) {
     if (key.empty()) {
       throw ConfigError("empty key at line " + std::to_string(line_no));
     }
-    cfg.set(section.empty() ? key : section + "." + key, value);
+    const std::string full_key = section.empty() ? key : section + "." + key;
+    const auto [it, first] = key_lines.emplace(full_key, line_no);
+    if (!first) {
+      throw ConfigError("duplicate key '" + full_key + "' at lines " +
+                        std::to_string(it->second) + " and " +
+                        std::to_string(line_no));
+    }
+    cfg.set(full_key, value);
   }
   return cfg;
 }

@@ -25,7 +25,9 @@ class ConfigFile {
  public:
   ConfigFile() = default;
 
-  /// Parses INI text. Throws ConfigError on malformed lines.
+  /// Parses INI text. Throws ConfigError on malformed lines and on a key
+  /// set twice (naming the key and both lines): a repeated key is a typo,
+  /// never a silent last-wins override.
   static ConfigFile parse(const std::string& text);
 
   /// Loads and parses a file. Throws ConfigError if unreadable.
@@ -45,6 +47,8 @@ class ConfigFile {
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
+  /// Sets or overrides `key` (programmatic callers, e.g. command-line flags
+  /// applied over a parsed file).
   void set(const std::string& key, const std::string& value);
 
   [[nodiscard]] const std::map<std::string, std::string>& entries() const {

@@ -8,17 +8,20 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "emit/codegen.hpp"
 #include "harness/async_process.hpp"
 #include "harness/campaign.hpp"
 #include "harness/report.hpp"
 #include "harness/sim_executor.hpp"
 #include "harness/subprocess_executor.hpp"
+#include "runtime/impl_profile.hpp"
 #include "support/config.hpp"
 #include "support/error.hpp"
 #include "support/fault_injection.hpp"
@@ -268,7 +271,7 @@ class DyingExecutor final : public Executor {
  private:
   SimExecutor& inner_;
   int fail_from_;
-  int calls_ = 0;
+  std::atomic<int> calls_{0};
 };
 
 TEST(Failover, DeadBackendWithoutSpareDegradesGracefully) {
@@ -300,6 +303,43 @@ TEST(Failover, DeadBackendWithoutSpareDegradesGracefully) {
   const CampaignResult healthy = Campaign(cfg, healthy_exec).run();
   EXPECT_TRUE(result.analysis == healthy.analysis);
   EXPECT_EQ(result.regenerated_programs, healthy.regenerated_programs);
+}
+
+// The dead backend is the last one, so most programs are completed — and
+// classified — by a fabricated unit. The divergent triples the healthy
+// backends still find must carry the program, source and input the campaign
+// generates for that index.
+TEST(Failover, DivergentTriplesSurviveAFabricatedLastUnit) {
+  CampaignConfig cfg = sim_config();
+  cfg.num_programs = 6;
+  cfg.seed = 51966;
+  cfg.generator.max_loop_trip_count = 100;
+  cfg.retry.max_attempts = 2;
+  cfg.retry.backend_death_threshold = 2;
+  SimExecutorOptions opt;
+  opt.num_threads = 8;
+  for (const int threads : {1, 4}) {
+    cfg.threads = threads;
+    SimExecutor healthy(std::vector<rt::OmpImplProfile>{rt::gcc_profile(),
+                                                        rt::clang_profile()},
+                        opt);
+    SimExecutor intel(std::vector<rt::OmpImplProfile>{rt::intel_profile()}, opt);
+    DyingExecutor dead(intel, 0);
+    Campaign campaign(cfg, {{&healthy, "healthy"}, {&dead, "dead"}});
+    const CampaignResult result = campaign.run();
+
+    ASSERT_EQ(result.robustness.lost_backends, std::vector<std::string>{"dead"});
+    EXPECT_GE(campaign.run_metrics().counter("campaign.fabricated_units"), 1u);
+    ASSERT_FALSE(result.divergent.empty()) << "threads=" << threads;
+    for (const auto& triple : result.divergent) {
+      const TestCase test = campaign.make_test_case(triple.program_index);
+      const auto input = static_cast<std::size_t>(triple.input_index);
+      EXPECT_EQ(triple.program.fingerprint(), test.program.fingerprint());
+      EXPECT_EQ(triple.source, emit::emit_translation_unit(test.program));
+      EXPECT_EQ(triple.input_text, test.inputs[input].to_string());
+      EXPECT_EQ(triple.program_name, test.program.name());
+    }
+  }
 }
 
 // ------------------------------------------------------ short batches ------

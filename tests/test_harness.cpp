@@ -11,6 +11,7 @@
 #include "harness/report.hpp"
 #include "harness/sim_executor.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace ompfuzz::harness {
 namespace {
@@ -341,6 +342,49 @@ TEST(CampaignTest, MakeTestCaseAccountsEveryDraft) {
     EXPECT_EQ(test.program.fingerprint(),
               campaign.make_test_case(p).program.fingerprint());
   }
+}
+
+// add_draft re-analyses a clean draft affine-only only when an interval pair
+// or a mod rewrite fired on it. Replays make_test_case's draft stream on a
+// rangeidx config and counts rescues the slow way — re-analysing every clean
+// draft — to show the skip loses none.
+TEST(CampaignTest, IntervalRescuesMatchAlwaysReanalysing) {
+  CampaignConfig cfg = tiny_config(24);
+  cfg.generator.array_size = 64;  // banks >= 2 under 8-thread regions
+  cfg.generator.max_loop_trip_count = 12;
+  cfg.generator.enable_features("rangeidx");
+  SimExecutor exec(tiny_options());
+  const Campaign campaign(cfg, exec);
+  const core::ProgramGenerator generator(cfg.generator);
+
+  StaticAnalysisStats accounting;
+  int expected_rescues = 0;
+  int expected_drafts = 0;
+  int skippable_clean_drafts = 0;
+  for (int p = 0; p < cfg.num_programs; ++p) {
+    (void)campaign.make_test_case(p, &accounting);
+    RandomEngine campaign_rng(cfg.seed);
+    const std::uint64_t program_seed =
+        campaign_rng.fork(static_cast<std::uint64_t>(p)).next_u64();
+    for (int attempt = 0; attempt < 16; ++attempt) {
+      const ast::Program draft = generator.generate(
+          "test_" + std::to_string(p), hash_combine(program_seed, attempt));
+      ++expected_drafts;
+      analysis::AnalyzerStats precision;
+      if (!analysis::analyze_races(draft, {}, &precision).race_free()) continue;
+      if (precision.interval_disjoint_pairs == 0 && precision.mod_rewrites == 0) {
+        ++skippable_clean_drafts;
+      }
+      if (!analysis::analyze_races(draft, {.use_intervals = false}).race_free()) {
+        ++expected_rescues;
+      }
+      break;
+    }
+  }
+  EXPECT_EQ(accounting.programs_checked, expected_drafts);
+  EXPECT_GT(expected_rescues, 0);
+  EXPECT_GT(skippable_clean_drafts, 0);
+  EXPECT_EQ(accounting.interval_rescued_drafts, expected_rescues);
 }
 
 TEST(Report, OutlierListRenders) {

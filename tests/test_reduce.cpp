@@ -784,9 +784,9 @@ TEST(CampaignRetention, ResumedCampaignRetainsTheSameTriples) {
   ASSERT_FALSE(cold.divergent.empty());
   ASSERT_GT(cold_puts, 0u);
 
-  // A rerun on the warm store executes nothing: every run is a hit, and the
-  // divergent programs are regenerated from seed (the store has no AST).
-  // It must retain identical triples.
+  // A rerun on the warm store executes nothing: every run is a hit, and each
+  // divergent triple comes from the program its unit generated (the store
+  // has no AST). It must retain identical triples.
   ResultStore store(store_cfg);
   harness::Campaign resumed(divergent_sim_config(), executor);
   resumed.set_result_store(&store);

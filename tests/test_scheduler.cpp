@@ -100,6 +100,38 @@ TEST(SchedulerCampaign, BitIdenticalAcrossBackendSplits) {
   }
 }
 
+// Every unit generates its program once and the unit that completes a
+// program classifies it from that same TestCase, so the analysed drafts are
+// exactly one draft stream per backend — divergent programs are never
+// generated again.
+TEST(SchedulerCampaign, AnalyzedDraftsAreOneStreamPerBackend) {
+  SimExecutorOptions opt;
+  opt.num_threads = 4;
+  for (const int threads : {1, 4}) {
+    {
+      SimExecutor exec(opt);
+      Campaign campaign(sim_config(12, threads), exec);
+      const CampaignResult result = campaign.run();
+      ASSERT_FALSE(result.divergent.empty());
+      EXPECT_EQ(campaign.run_metrics().counter("campaign.analyzed_drafts"),
+                static_cast<std::uint64_t>(result.analysis.programs_checked))
+          << "threads=" << threads;
+    }
+    {
+      SimExecutor a(profile_slice(0, 1), opt);
+      SimExecutor b(profile_slice(1, 2), opt);
+      SimExecutor c(profile_slice(2, 3), opt);
+      Campaign campaign(sim_config(12, threads),
+                        {{&a, "b0"}, {&b, "b1"}, {&c, "b2"}});
+      const CampaignResult result = campaign.run();
+      ASSERT_FALSE(result.divergent.empty());
+      EXPECT_EQ(campaign.run_metrics().counter("campaign.analyzed_drafts"),
+                3u * static_cast<std::uint64_t>(result.analysis.programs_checked))
+          << "threads=" << threads;
+    }
+  }
+}
+
 TEST(SchedulerCampaign, RejectsDuplicateImplsAndAnonymousBackends) {
   SimExecutorOptions opt;
   SimExecutor a(profile_slice(0, 2), opt);

@@ -201,6 +201,39 @@ TEST(Config, MalformedLinesThrow) {
   EXPECT_THROW(ConfigFile::parse("= value\n"), ConfigError);
 }
 
+// A repeated key is rejected, naming the key and both lines, instead of the
+// last line silently winning.
+TEST(Config, DuplicateKeysThrowNamingKeyAndLines) {
+  const auto expect_duplicate = [](const std::string& ini,
+                                   const std::string& message) {
+    try {
+      (void)ConfigFile::parse(ini);
+      ADD_FAILURE() << "expected ConfigError for " << message;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_duplicate("[campaign]\nseed = 1\nseed = 2\n",
+                   "duplicate key 'campaign.seed' at lines 2 and 3");
+  // Two same-named implementations would silently drop one of them.
+  expect_duplicate(
+      "[implementations]\ngcc = profile: libgomp\n"
+      "clang = profile: libomp\n"
+      "gcc = g++ -fopenmp -O3 {src} -o {bin}\n",
+      "duplicate key 'implementations.gcc' at lines 2 and 4");
+  // A section may be reopened, and the same key under two sections is two
+  // keys.
+  const auto cfg = ConfigFile::parse(
+      "[campaign]\nseed = 1\n[generator]\nseed = 2\n[campaign]\nalpha = 0.3\n");
+  EXPECT_EQ(cfg.get("campaign.seed"), "1");
+  EXPECT_EQ(cfg.get("generator.seed"), "2");
+  // set() still overrides: command-line flags go over a parsed file.
+  ConfigFile file = ConfigFile::parse("[campaign]\nseed = 1\n");
+  file.set("campaign.seed", "2");
+  EXPECT_EQ(file.get("campaign.seed"), "2");
+}
+
 TEST(Config, BadTypedValuesThrow) {
   const auto cfg = ConfigFile::parse("x = notanumber\nb = maybe\n");
   EXPECT_THROW((void)cfg.get_int("x", 0), ConfigError);
