@@ -24,8 +24,9 @@
 // content-addressed run cache under `store.dir`, so a re-run (or a killed run
 // started again) executes only triples whose key is not stored, and a changed
 // configuration changes the keys. `--resume` is an alias for that default.
-// With `--reduce` every retained divergent triple is minimized; the reduced
-// sources land in campaign_reductions.json.
+// With `--reduce` every retained divergent triple is minimized against all of
+// the campaign's backends; the reduced sources land in
+// campaign_reductions.json, which is byte-identical for every backend split.
 //
 // Faults (`--inject-faults` or `[faults]`) and telemetry (`--trace`,
 // `--metrics`, `--heartbeat` or `[telemetry]`) never change the JSON report:
@@ -146,13 +147,6 @@ int run_demo(int argc, char** argv) {
   const auto num_backends = static_cast<std::size_t>(sched.backends);
   if (num_backends > cfg.implementations.size()) {
     throw ConfigError("scheduler.backends exceeds the implementation count");
-  }
-  if (reduce_divergent && num_backends > 1) {
-    // Checked before the campaign runs, not after hours of execution: the
-    // reduction oracle classifies candidates against ONE executor's
-    // implementation set; reducing a multi-backend campaign's triples would
-    // silently drop every implementation outside backend 0.
-    throw ConfigError("--reduce currently needs scheduler.backends = 1");
   }
 
   // Split the implementation list into `scheduler.backends` contiguous,
@@ -279,7 +273,7 @@ int run_demo(int argc, char** argv) {
   if (reduce_divergent) {
     std::printf("reducing %zu divergent triples...\n", result.divergent.size());
     const auto reduction_report = reduce::reduce_campaign(
-        result, *backends.front().executor, store.get(), {},
+        result, campaign.backends(), store.get(), {},
         [](int done, int total) {
           std::fprintf(stderr, "  reduced %d/%d triples\n", done, total);
         });

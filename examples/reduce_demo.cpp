@@ -70,7 +70,7 @@ int run_demo(int argc, char** argv) {
   }
 
   const auto report = reduce::reduce_campaign(
-      result, executor, store.get(), {}, [](int done, int total) {
+      result, campaign.backends(), store.get(), {}, [](int done, int total) {
         std::fprintf(stderr, "  reduced %d/%d triples\n", done, total);
       });
 

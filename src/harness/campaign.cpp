@@ -64,8 +64,10 @@ StaticAnalysisStats& StaticAnalysisStats::operator+=(const StaticAnalysisStats& 
 
 CampaignMetrics::CampaignMetrics() {
   auto& registry = telemetry::Registry::global();
-  retried_triples = &registry.counter("campaign.retried_triples");
-  retry_rounds = &registry.counter("campaign.retry_rounds");
+  // Registered here so a run without retries reports them at zero;
+  // run_on_backend adds to them.
+  registry.counter("campaign.retried_triples");
+  registry.counter("campaign.retry_rounds");
   fabricated_units = &registry.counter("campaign.fabricated_units");
   analysis_nanos = &registry.counter("campaign.analysis_nanos");
   analyzed_drafts = &registry.counter("campaign.analyzed_drafts");
@@ -83,22 +85,7 @@ Campaign::Campaign(CampaignConfig config, std::vector<CampaignBackend> backends)
     : config_(std::move(config)), backends_(std::move(backends)),
       generator_(config_.generator) {
   config_.validate();
-  OMPFUZZ_CHECK(!backends_.empty(), "campaign needs at least one backend");
-  std::set<std::string> backend_names;
-  std::set<std::string> impl_names;
-  for (const auto& backend : backends_) {
-    OMPFUZZ_CHECK(backend.executor != nullptr, "campaign backend needs an executor");
-    OMPFUZZ_CHECK(!backend.name.empty(), "campaign backend needs a name");
-    OMPFUZZ_CHECK(backend_names.insert(backend.name).second,
-                  "duplicate backend name: " + backend.name);
-    for (const auto& name : backend.executor->implementations()) {
-      // Uniqueness across backends: the merged result is keyed by
-      // implementation name, and a duplicate would make two backends' runs
-      // indistinguishable in every report.
-      OMPFUZZ_CHECK(impl_names.insert(name).second,
-                    "implementation '" + name + "' appears in several backends");
-    }
-  }
+  plan_ = plan_backends(backends_);
   // Baseline from construction, so run_metrics() reads zero until run()
   // re-baselines it (the registry counters are process-wide and monotonic
   // across campaigns).
@@ -167,22 +154,11 @@ TestCase Campaign::make_test_case(int program_index,
 
 namespace {
 
-/// Everything one (program, backend) unit produces: the raw runs of that
-/// backend's implementation subset, input-major. Classification waits for
-/// ALL backends of a program — the outlier analysis compares an
-/// implementation against the whole team, which spans backends — and is done
-/// by the unit that completes the program.
-struct SubShard {
-  /// Any run fabricated by a harness failure (compile/spawn infrastructure
-  /// error): the sub-shard is merged like any other, but it counts against
-  /// its backend's health.
-  bool tainted = false;
-  std::vector<core::RunResult> runs;  ///< inputs x backend impls, input-major
-};
-
 /// One program's classified result, built by the unit that completes the
 /// program and aggregated in program order so a scheduled campaign is
-/// bit-identical to a serial one.
+/// bit-identical to a serial one. Classification waits for ALL backends of a
+/// program: the outlier analysis compares an implementation against the
+/// whole team, which spans backends.
 struct MergedShard {
   std::vector<TestOutcome> outcomes;
   std::vector<DivergentTriple> divergent;
@@ -276,90 +252,93 @@ std::vector<BatchGroup> group_pending(const std::vector<char>& need,
   return groups;
 }
 
-/// Runs every (input, implementation) pair of program `p` — `test`, which
-/// the unit generated — under ONE backend's implementation subset that is
-/// not already in the result store, and returns the raw runs unclassified.
-/// Pure function of the test, the backend's executor, and the store contents
-/// (the store only ever holds what the executor would have produced);
-/// `exec_mutex` serializes executor calls when the backend is not
-/// thread-safe.
-///
-/// Fault tolerance: a batch the executor cannot deliver (it threw, returned
-/// a short batch, or an injected dispatch fault fired) is fabricated as
-/// harness failures instead of aborting the campaign, and every failed
-/// (input, impl) triple is re-dispatched up to retry.max_attempts times with
-/// bounded exponential backoff. Genuine observations are kept across
-/// retries — only the failed triples go back to the executor — so a
-/// transient fault leaves no trace in the merged result. Retrying stops
-/// early when `backend_dead` flips: the campaign's quarantine path takes
-/// over from there.
-SubShard run_shard_unit(const Campaign& campaign, const TestCase& test,
-                        Executor& executor, std::mutex* exec_mutex,
-                        const std::vector<std::string>& impl_names,
-                        const std::vector<std::string>& impl_identities,
-                        ResultStore* store, int p, int backend_index,
-                        const CampaignMetrics& metrics,
-                        const std::atomic<bool>& backend_dead) {
-  telemetry::ScopedSpan span("run-batch", "shard_unit");
-  const std::uint64_t fingerprint = test.program.fingerprint();
-  if (span.active()) {
-    span.arg("program", p);
-    span.arg("backend", backend_index);
-    span.arg("fingerprint", telemetry::hex_fingerprint(fingerprint));
+}  // namespace
+
+std::vector<BackendPlan> plan_backends(const std::vector<CampaignBackend>& backends) {
+  OMPFUZZ_CHECK(!backends.empty(), "needs at least one backend");
+  std::set<std::string> backend_names;
+  std::set<std::string> impl_names;
+  std::vector<BackendPlan> plan;
+  plan.reserve(backends.size());
+  for (const auto& backend : backends) {
+    OMPFUZZ_CHECK(backend.executor != nullptr, "backend needs an executor");
+    OMPFUZZ_CHECK(!backend.name.empty(), "backend needs a name");
+    OMPFUZZ_CHECK(backend_names.insert(backend.name).second,
+                  "duplicate backend name: " + backend.name);
+    BackendPlan& planned = plan.emplace_back();
+    planned.executor = backend.executor;
+    planned.impls = backend.executor->implementations();
+    for (const auto& name : planned.impls) {
+      // Uniqueness across backends: the merged result is keyed by
+      // implementation name, and a duplicate would make two backends' runs
+      // indistinguishable in every report.
+      OMPFUZZ_CHECK(impl_names.insert(name).second,
+                    "implementation '" + name + "' appears in several backends");
+      planned.identities.push_back(
+          store_impl_identity(name, backend.executor->impl_identity(name)));
+    }
+    if (!backend.executor->thread_safe()) {
+      planned.exec_mutex = std::make_unique<std::mutex>();
+    }
   }
+  return plan;
+}
+
+BackendRuns run_on_backend(const BackendPlan& backend, const TestCase& test,
+                           ResultStore* store, const RetryConfig& retry,
+                           const std::atomic<bool>* stop) {
+  const std::uint64_t fingerprint = test.program.fingerprint();
   const std::size_t ni = test.inputs.size();
-  const std::size_t nj = impl_names.size();
+  const std::size_t nj = backend.impls.size();
   std::vector<std::string> input_texts;
   input_texts.reserve(ni);
   for (const auto& input : test.inputs) input_texts.push_back(input.to_string());
 
   const auto key_for = [&](std::size_t i, std::size_t j) {
-    return RunKey{fingerprint, input_texts[i], impl_identities[j]};
+    return RunKey{fingerprint, input_texts[i], backend.identities[j]};
   };
 
-  // Consult the run cache triple-by-triple. An implementation with an empty
-  // identity is never cached (the executor cannot vouch for reuse).
-  std::vector<core::RunResult> runs(ni * nj);
-  std::vector<char> have(ni * nj, 0);
+  // Consult the run cache triple-by-triple. `need` marks the triples the
+  // executor still owes; dispatch_pending fills `runs` for exactly those and
+  // the retry loop below narrows `need` to whatever came back as a harness
+  // failure.
+  BackendRuns out;
+  out.runs.resize(ni * nj);
+  std::vector<char> need(ni * nj, 1);
   if (store != nullptr) {
     for (std::size_t j = 0; j < nj; ++j) {
-      if (impl_identities[j].empty()) continue;
+      if (backend.identities[j].empty()) continue;
       for (std::size_t i = 0; i < ni; ++i) {
         if (auto hit = store->lookup(key_for(i, j))) {
-          runs[i * nj + j] = std::move(*hit);
-          have[i * nj + j] = 1;
+          out.runs[i * nj + j] = std::move(*hit);
+          need[i * nj + j] = 0;
+          ++out.served;
         }
       }
     }
   }
-
-  // `need` marks the triples the executor still owes after the cache
-  // consult; dispatch_pending fills `runs` for exactly those and the retry
-  // loop below narrows `need` to whatever came back as a harness failure.
-  std::vector<char> need(ni * nj, 0);
-  for (std::size_t idx = 0; idx < ni * nj; ++idx) need[idx] = !have[idx];
+  out.executed = ni * nj - out.served;
 
   // Batch the needed triples: implementations sharing the same missing
   // input set go to the executor in one run_batch call (the pipelined
   // backend overlaps all of its children), in implementation order. A cold
-  // or store-less unit therefore degenerates to one batched call covering
-  // every (input, impl) pair of this backend — and a fully warm unit
+  // or store-less test therefore degenerates to one batched call covering
+  // every (input, impl) pair of this backend — and a fully warm one
   // dispatches nothing at all. The input-major result order is part of the
-  // run_batch contract. A batch the executor cannot deliver (see above) is
-  // fabricated as harness failures for its whole group.
+  // run_batch contract.
   const auto dispatch_pending = [&] {
     for (const auto& group : group_pending(need, ni, nj)) {
       std::vector<std::string> group_impls;
       group_impls.reserve(group.impl_ids.size());
-      for (const std::size_t j : group.impl_ids) group_impls.push_back(impl_names[j]);
+      for (const std::size_t j : group.impl_ids) group_impls.push_back(backend.impls[j]);
 
       std::vector<core::RunResult> batch;
       bool delivered = !inject_fault(FaultSite::Dispatch);
       if (delivered) {
         try {
           std::unique_lock<std::mutex> lock;
-          if (exec_mutex != nullptr) lock = std::unique_lock<std::mutex>(*exec_mutex);
-          batch = executor.run_batch(test, group.missing_inputs, group_impls);
+          if (backend.exec_mutex) lock = std::unique_lock<std::mutex>(*backend.exec_mutex);
+          batch = backend.executor->run_batch(test, group.missing_inputs, group_impls);
         } catch (const std::exception&) {
           delivered = false;
         }
@@ -371,7 +350,7 @@ SubShard run_shard_unit(const Campaign& campaign, const TestCase& test,
       if (!delivered) {
         for (const std::size_t i : group.missing_inputs) {
           for (const std::size_t j : group.impl_ids) {
-            runs[i * nj + j] = fabricated_run(impl_names[j]);
+            out.runs[i * nj + j] = fabricated_run(backend.impls[j]);
           }
         }
         continue;
@@ -382,11 +361,11 @@ SubShard run_shard_unit(const Campaign& campaign, const TestCase& test,
           const std::size_t i = group.missing_inputs[ii];
           const std::size_t j = group.impl_ids[jj];
           core::RunResult& result = batch[ii * group.impl_ids.size() + jj];
-          if (store != nullptr && !impl_identities[j].empty() &&
+          if (store != nullptr && !backend.identities[j].empty() &&
               !result.harness_failure) {
             store->put(key_for(i, j), result);
           }
-          runs[i * nj + j] = std::move(result);
+          out.runs[i * nj + j] = std::move(result);
         }
       }
     }
@@ -398,92 +377,51 @@ SubShard run_shard_unit(const Campaign& campaign, const TestCase& test,
   // re-dispatch is identical to the original (same TestCase, same RunKeys),
   // so a triple that succeeds on any attempt is indistinguishable from one
   // that succeeded immediately.
-  const RetryConfig& retry = campaign.config().retry;
   std::int64_t delay_ms = std::min(retry.base_ms, retry.cap_ms);
   for (int attempt = 1; attempt < retry.max_attempts; ++attempt) {
     std::uint64_t failed = 0;
     for (std::size_t idx = 0; idx < ni * nj; ++idx) {
-      need[idx] = need[idx] && runs[idx].harness_failure;
+      need[idx] = need[idx] && out.runs[idx].harness_failure;
       if (need[idx]) ++failed;
     }
     if (failed == 0) break;
-    if (backend_dead.load(std::memory_order_acquire)) {
-      break;  // the campaign's quarantine path takes over
-    }
-    metrics.retry_rounds->add();
-    metrics.retried_triples->add(failed);
+    if (stop != nullptr && stop->load(std::memory_order_acquire)) break;
+    auto& registry = telemetry::Registry::global();
+    registry.counter("campaign.retry_rounds").add();
+    registry.counter("campaign.retried_triples").add(failed);
     if (delay_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
     }
     delay_ms = std::min(retry.cap_ms, delay_ms * 2);
     dispatch_pending();
   }
-
-  const bool tainted = std::any_of(runs.begin(), runs.end(),
-                                   [](const core::RunResult& r) {
-                                     return r.harness_failure;
-                                   });
-  return {tainted, std::move(runs)};
+  return out;
 }
 
-/// Sub-shard of a dead backend: every run is a fabricated harness failure.
-SubShard fabricate_shard_unit(const std::vector<std::string>& impl_names,
-                              std::size_t num_inputs) {
-  SubShard shard{.tainted = true, .runs = {}};
-  shard.runs.reserve(num_inputs * impl_names.size());
+namespace {
+
+/// Runs of a dead backend: every one is a fabricated harness failure.
+std::vector<core::RunResult> fabricate_runs(const std::vector<std::string>& impl_names,
+                                            std::size_t num_inputs) {
+  std::vector<core::RunResult> runs;
+  runs.reserve(num_inputs * impl_names.size());
   for (std::size_t i = 0; i < num_inputs; ++i) {
-    for (const auto& name : impl_names) {
-      shard.runs.push_back(fabricated_run(name));
-    }
+    for (const auto& name : impl_names) runs.push_back(fabricated_run(name));
   }
-  return shard;
-}
-
-// ------------------------------------------------------------ plan phase ----
-
-/// Everything run() fixes before the first unit executes: the column layout
-/// and the per-backend executor locks.
-struct RunPlan {
-  /// Per backend, its implementation names (executor order) and their store
-  /// identities. Backends in order, names in order within each, is the
-  /// canonical column order of every merged outcome.
-  std::vector<std::vector<std::string>> impls;
-  std::vector<std::vector<std::string>> identities;
-  /// Per-backend serialization for executors that are not thread-safe;
-  /// other backends' units keep running in parallel around them.
-  std::vector<std::unique_ptr<std::mutex>> exec_mutexes;
-};
-
-RunPlan plan_run(const std::vector<CampaignBackend>& backends) {
-  const std::size_t nb = backends.size();
-  RunPlan plan;
-  plan.impls.resize(nb);
-  plan.identities.resize(nb);
-  plan.exec_mutexes.resize(nb);
-  for (std::size_t b = 0; b < nb; ++b) {
-    const Executor& executor = *backends[b].executor;
-    plan.impls[b] = executor.implementations();
-    for (const auto& name : plan.impls[b]) {
-      plan.identities[b].push_back(
-          store_impl_identity(name, executor.impl_identity(name)));
-    }
-    if (!executor.thread_safe()) {
-      plan.exec_mutexes[b] = std::make_unique<std::mutex>();
-    }
-  }
-  return plan;
+  return runs;
 }
 
 // --------------------------------------------------------- execute phase ----
 
-/// Joins program `p`'s sub-shards — backend columns concatenated per input
+/// Joins program `p`'s backend runs — backend columns concatenated per input
 /// row — classifies every outcome, and retains the divergent ones from
 /// `test`, the TestCase the completing unit executed (its program is moved
 /// into the first divergent triple). `analysis` is that unit's draft
 /// accounting (every unit of a program has the same).
-MergedShard merge_program(const RunPlan& plan, const core::OutlierDetector& detector,
-                          TestCase& test, const StaticAnalysisStats& analysis,
-                          int p, std::vector<SubShard>& row) {
+MergedShard merge_program(const std::vector<BackendPlan>& plan,
+                          const core::OutlierDetector& detector, TestCase& test,
+                          const StaticAnalysisStats& analysis, int p,
+                          std::vector<std::vector<core::RunResult>>& row) {
   telemetry::ScopedSpan span("campaign", "classify_program");
   if (span.active()) span.arg("program", p);
   MergedShard shard;
@@ -497,8 +435,8 @@ MergedShard merge_program(const RunPlan& plan, const core::OutlierDetector& dete
     outcome.program_name = test.program.name();
     outcome.input_text = test.inputs[i].to_string();
     for (std::size_t b = 0; b < row.size(); ++b) {
-      const std::size_t nj = plan.impls[b].size();
-      const auto begin = row[b].runs.begin() + static_cast<std::ptrdiff_t>(i * nj);
+      const std::size_t nj = plan[b].impls.size();
+      const auto begin = row[b].begin() + static_cast<std::ptrdiff_t>(i * nj);
       outcome.runs.insert(outcome.runs.end(), std::make_move_iterator(begin),
                           std::make_move_iterator(
                               begin + static_cast<std::ptrdiff_t>(nj)));
@@ -525,7 +463,8 @@ struct Execution {
 /// the same store executes only the triples that never got there. The unit
 /// that completes a program classifies it (merge_program) from its own
 /// TestCase, so no program is generated again for the merge.
-Execution execute_units(const Campaign& campaign, const RunPlan& plan,
+Execution execute_units(const Campaign& campaign,
+                        const std::vector<BackendPlan>& plan,
                         ResultStore* store, const CampaignMetrics& metrics,
                         const ProgressFn& progress) {
   const auto& backends = campaign.backends();
@@ -535,7 +474,7 @@ Execution execute_units(const Campaign& campaign, const RunPlan& plan,
   const auto np = static_cast<std::size_t>(num_programs);
 
   // Backend health: a backend whose units keep coming back fully exhausted
-  // (tainted even after run_shard_unit's retries) is declared dead after
+  // (tainted even after run_on_backend's retries) is declared dead after
   // `retry.backend_death_threshold` consecutive tainted sub-shards. From
   // then on its units are fabricated without touching the executor and
   // surface as quarantined triples plus a lost_backends entry.
@@ -550,18 +489,23 @@ Execution execute_units(const Campaign& campaign, const RunPlan& plan,
   // Executes one (program, backend) unit on `test`, or fabricates it once
   // the backend is dead, updating the health streak.
   const auto execute_unit = [&](std::size_t b, const TestCase& test,
-                                int p) -> SubShard {
+                                int p) -> std::vector<core::RunResult> {
     if (health[b].dead.load(std::memory_order_acquire)) {
       metrics.fabricated_units->add();
-      return fabricate_shard_unit(plan.impls[b], test.inputs.size());
+      return fabricate_runs(plan[b].impls, test.inputs.size());
     }
-    SubShard shard = run_shard_unit(
-        campaign, test, *backends[b].executor, plan.exec_mutexes[b].get(),
-        plan.impls[b], plan.identities[b], store, p, static_cast<int>(b),
-        metrics, health[b].dead);
-    if (!shard.tainted) {
+    telemetry::ScopedSpan span("run-batch", "shard_unit");
+    if (span.active()) {
+      span.arg("program", p);
+      span.arg("backend", static_cast<int>(b));
+      span.arg("fingerprint", telemetry::hex_fingerprint(test.program.fingerprint()));
+    }
+    std::vector<core::RunResult> runs =
+        run_on_backend(plan[b], test, store, config.retry, &health[b].dead).runs;
+    if (std::none_of(runs.begin(), runs.end(),
+                     [](const core::RunResult& r) { return r.harness_failure; })) {
       health[b].consecutive.store(0, std::memory_order_relaxed);
-      return shard;
+      return runs;
     }
     const int streak =
         health[b].consecutive.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -569,7 +513,7 @@ Execution execute_units(const Campaign& campaign, const RunPlan& plan,
         !health[b].dead.exchange(true, std::memory_order_release)) {
       metrics.live_backends->add(-1);
     }
-    return shard;
+    return runs;
   };
 
   core::OutlierParams params;
@@ -580,7 +524,8 @@ Execution execute_units(const Campaign& campaign, const RunPlan& plan,
 
   Execution out;
   out.programs.resize(np);
-  std::vector<std::vector<SubShard>> grid(np, std::vector<SubShard>(nb));
+  std::vector<std::vector<std::vector<core::RunResult>>> grid(
+      np, std::vector<std::vector<core::RunResult>>(nb));
   std::vector<std::atomic<int>> remaining(np);
   for (auto& left : remaining) left.store(static_cast<int>(nb), std::memory_order_relaxed);
 
@@ -608,7 +553,7 @@ Execution execute_units(const Campaign& campaign, const RunPlan& plan,
     metrics.units_done->add(1);
     if (remaining[p].fetch_sub(1, std::memory_order_acq_rel) != 1) return;
     out.programs[p] = merge_program(plan, detector, test, analysis, program, grid[p]);
-    grid[p] = std::vector<SubShard>();
+    grid[p] = {};
     if (progress) {
       const std::lock_guard<std::mutex> lock(progress_mutex);
       progress(++completed, num_programs);
@@ -704,16 +649,15 @@ CampaignResult Campaign::run(const ProgressFn& progress) {
   metrics_base_ = telemetry::Registry::global().snapshot();
   telemetry::ScopedSpan run_span("campaign", "run");
 
-  const RunPlan plan = plan_run(backends_);
   CampaignResult result;
-  for (const auto& names : plan.impls) {
-    for (const auto& name : names) {
+  for (const BackendPlan& backend : plan_) {
+    for (const auto& name : backend.impls) {
       result.impl_names.push_back(name);
       result.per_impl[name];
     }
   }
 
-  Execution execution = execute_units(*this, plan, store_, metrics_, progress);
+  Execution execution = execute_units(*this, plan_, store_, metrics_, progress);
   scheduler_stats_ = std::move(execution.scheduler_stats);
   result.robustness.lost_backends = std::move(execution.lost_backends);
 

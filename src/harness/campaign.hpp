@@ -11,9 +11,12 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -164,6 +167,47 @@ struct CampaignBackend {
   std::string name;
 };
 
+/// One backend as its run path sees it, fixed before any test runs on it.
+struct BackendPlan {
+  Executor* executor = nullptr;
+  /// Implementation names in executor order: the backend's columns.
+  std::vector<std::string> impls;
+  /// store_impl_identity of each column; an empty one is never cached.
+  std::vector<std::string> identities;
+  /// Serializes run_batch calls when the executor is not thread-safe (null
+  /// otherwise); other backends keep running in parallel around it.
+  std::unique_ptr<std::mutex> exec_mutex;
+};
+
+/// Plans every backend, in order. Throws unless there is at least one, each
+/// has an executor and a unique non-empty name, and no implementation name
+/// appears twice across backends (runs are keyed by implementation name).
+[[nodiscard]] std::vector<BackendPlan> plan_backends(
+    const std::vector<CampaignBackend>& backends);
+
+/// The runs of one test under one backend.
+struct BackendRuns {
+  std::vector<core::RunResult> runs;  ///< inputs x backend impls, input-major
+  std::uint64_t executed = 0;  ///< triples the store could not serve
+  std::uint64_t served = 0;    ///< triples served by the store
+};
+
+/// Runs every (input, implementation) pair of `test` on one backend: the one
+/// path from a test to its runs, shared by the campaign and the reduction
+/// oracle. Triples whose key is in `store` are served from it; the rest are
+/// grouped by missing-input set and dispatched through run_batch (under the
+/// backend's lock), and every run that is not a harness failure is written
+/// back. A batch the executor cannot deliver (it threw, returned a short
+/// batch, or the Dispatch fault site fired) is fabricated as harness
+/// failures, and failed triples are re-dispatched up to
+/// `retry.max_attempts` times with bounded exponential backoff. Genuine runs
+/// are kept across retries, so a transient fault leaves no trace. Retrying
+/// stops early once `*stop` is set.
+[[nodiscard]] BackendRuns run_on_backend(const BackendPlan& backend,
+                                         const TestCase& test, ResultStore* store,
+                                         const RetryConfig& retry,
+                                         const std::atomic<bool>* stop = nullptr);
+
 /// What one run() dispatched (throughput bookkeeping only — results never
 /// depend on it). Units run one at a time off a FIFO thread pool, so
 /// `batches` always equals `units` and `stolen_units` is always 0; both stay
@@ -180,8 +224,6 @@ struct SchedulerStats {
 /// make_test_case) never pay a registry lookup; the names are the public
 /// metrics catalog entry points (see README "Observability").
 struct CampaignMetrics {
-  telemetry::Counter* retried_triples;   ///< campaign.retried_triples
-  telemetry::Counter* retry_rounds;      ///< campaign.retry_rounds
   telemetry::Counter* fabricated_units;  ///< campaign.fabricated_units
   telemetry::Counter* analysis_nanos;    ///< campaign.analysis_nanos
   telemetry::Counter* analyzed_drafts;   ///< campaign.analyzed_drafts
@@ -253,6 +295,7 @@ class Campaign {
  private:
   CampaignConfig config_;
   std::vector<CampaignBackend> backends_;
+  std::vector<BackendPlan> plan_;  ///< one per backend, in order
   core::ProgramGenerator generator_;
   ResultStore* store_ = nullptr;
   SchedulerStats scheduler_stats_;

@@ -86,15 +86,16 @@ class Executor {
     (void)program_fingerprint;
   }
 
-  /// True if run() may be called concurrently from multiple threads. The
-  /// campaign engine serializes run() calls behind a mutex otherwise, so a
-  /// non-thread-safe executor is race-free (just unaccelerated). Note that
-  /// with threads > 1 the serialized calls still *arrive* in shard
-  /// completion order, not program order — so the campaign's
-  /// identical-for-every-thread-count guarantee additionally requires run()
-  /// to be a pure function of its arguments (both in-tree executors are).
-  /// An executor whose results depend on call order must be driven with
-  /// threads = 1.
+  /// True if run_batch() may be called concurrently from multiple threads.
+  /// Otherwise harness::run_on_backend — the one dispatch path of campaigns
+  /// and of the reduction oracle — serializes its calls behind the
+  /// backend's mutex, so a non-thread-safe executor is race-free (just
+  /// unaccelerated). The serialized calls still *arrive* in completion
+  /// order, not program or candidate order — so the identical-for-every-
+  /// thread-count guarantee additionally requires results to be a pure
+  /// function of the arguments (both in-tree executors are). An executor
+  /// whose results depend on call order must be driven with threads = 1,
+  /// in the campaign and in the oracle alike.
   [[nodiscard]] virtual bool thread_safe() const noexcept { return false; }
 };
 

@@ -7,15 +7,14 @@
 
 namespace ompfuzz::reduce {
 
-CampaignReductionReport reduce_campaign(const harness::CampaignResult& result,
-                                        harness::Executor& executor,
-                                        ResultStore* store,
-                                        const ReduceCampaignOptions& options,
-                                        const ReduceProgressFn& progress) {
+CampaignReductionReport reduce_campaign(
+    const harness::CampaignResult& result,
+    const std::vector<harness::CampaignBackend>& backends, ResultStore* store,
+    const ReduceCampaignOptions& options, const ReduceProgressFn& progress) {
   CampaignReductionReport report;
   if (result.divergent.empty()) return report;
 
-  InterestingnessOracle oracle(executor, options.oracle);
+  InterestingnessOracle oracle(backends, options.oracle);
   oracle.set_result_store(store);
   Reducer reducer(oracle, options.reducer);
 

@@ -47,11 +47,14 @@ struct CampaignReductionReport {
 /// Progress callback: (triples done, total triples).
 using ReduceProgressFn = std::function<void(int, int)>;
 
-/// Reduces every divergent triple of `result` against `executor`,
-/// consulting/populating `store` (nullptr = no caching). Deterministic in
-/// triple order and within each reduction.
+/// Reduces every divergent triple of `result` against `backends` (the
+/// campaign's, so a candidate runs under every implementation the campaign
+/// compared), consulting/populating `store` (nullptr = no caching).
+/// Deterministic in triple order and within each reduction, and the same for
+/// every backend split.
 [[nodiscard]] CampaignReductionReport reduce_campaign(
-    const harness::CampaignResult& result, harness::Executor& executor,
+    const harness::CampaignResult& result,
+    const std::vector<harness::CampaignBackend>& backends,
     ResultStore* store, const ReduceCampaignOptions& options = {},
     const ReduceProgressFn& progress = nullptr);
 

@@ -221,11 +221,6 @@ constexpr Field<Gen> kGeneratorFields[] = {
     field<&Gen::p_reduction>("p_reduction", 0, 1),
     field<&Gen::p_critical>("p_critical", 0, 1),
     field<&Gen::p_parallel_in_loop>("p_parallel_in_loop", 0, 1),
-    field<&Gen::enable_atomic>("enable_atomic"),
-    field<&Gen::enable_single>("enable_single"),
-    field<&Gen::enable_master>("enable_master"),
-    field<&Gen::enable_schedule>("enable_schedule"),
-    field<&Gen::enable_rangeidx>("enable_rangeidx"),
     field<&Gen::enable_features>("features"),
     field<&Gen::p_atomic>("p_atomic", 0, 1),
     field<&Gen::p_single>("p_single", 0, 1),
@@ -310,8 +305,7 @@ const Section<T>& section_of() {
 }
 
 /// Reads T's section onto T's defaults, rejecting any key its table does not
-/// list, and validates the result. Keys are read in name order, so the
-/// `features` list lands after (and only adds to) the enable_* gates.
+/// list, and validates the result.
 template <typename T>
 T parse_section(const ConfigFile& file, const Section<T>& section) {
   const std::string prefix = std::string(section.name) + ".";

@@ -84,7 +84,8 @@ struct GeneratorConfig {
 
   // Feature gates for the widened construct surface. All default OFF, and a
   // disabled feature draws NOTHING from the generator's RNG, so default
-  // configurations keep producing bit-identical program streams.
+  // configurations keep producing bit-identical program streams. An INI
+  // file sets them only through the `features` list (enable_features).
   bool enable_atomic = false;    ///< "#pragma omp atomic" updates
   bool enable_single = false;    ///< "#pragma omp single nowait" blocks
   bool enable_master = false;    ///< "#pragma omp master" blocks

@@ -7,7 +7,6 @@
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
@@ -20,19 +19,12 @@
 
 #include "harness/async_process.hpp"
 #include "support/fault_injection.hpp"
+#include "test_util.hpp"
 
 namespace ompfuzz::harness {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::string temp_dir() {
-  static int counter = 0;
-  std::string dir = ::testing::TempDir() + "/ompfuzz_ap_" +
-                    std::to_string(getpid()) + "_" + std::to_string(counter++);
-  mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 void write_script(const std::string& path, const std::string& content) {
   {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
@@ -26,6 +25,7 @@
 #include "support/error.hpp"
 #include "support/fault_injection.hpp"
 #include "support/result_store.hpp"
+#include "test_util.hpp"
 
 namespace ompfuzz {
 namespace {
@@ -36,14 +36,6 @@ using harness::Executor;
 using harness::SimExecutor;
 using harness::SimExecutorOptions;
 using harness::TestCase;
-
-std::string temp_dir() {
-  static int counter = 0;
-  std::string dir = ::testing::TempDir() + "/ompfuzz_faults_" +
-                    std::to_string(getpid()) + "_" + std::to_string(counter++);
-  mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 void write_script(const std::string& path, const std::string& content) {
   {

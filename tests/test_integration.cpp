@@ -19,20 +19,13 @@
 #include "harness/subprocess_executor.hpp"
 #include "interp/interp.hpp"
 #include "support/string_utils.hpp"
+#include "test_util.hpp"
 
 namespace ompfuzz {
 namespace {
 
 bool have_gxx() {
   return std::system("g++ --version > /dev/null 2>&1") == 0;
-}
-
-std::string temp_dir() {
-  static int counter = 0;
-  std::string dir = ::testing::TempDir() + "/ompfuzz_it_" +
-                    std::to_string(getpid()) + "_" + std::to_string(counter++);
-  (void)std::system(("mkdir -p " + dir).c_str());
-  return dir;
 }
 
 // --------------------------------------------------- run_process helper ----

@@ -9,6 +9,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -25,8 +26,10 @@
 #include "reduce/oracle.hpp"
 #include "reduce/passes.hpp"
 #include "reduce/reducer.hpp"
+#include "runtime/impl_profile.hpp"
 #include "support/result_store.hpp"
 #include "support/telemetry.hpp"
+#include "test_util.hpp"
 
 namespace ompfuzz::reduce {
 namespace {
@@ -39,14 +42,6 @@ using ast::Stmt;
 using ast::VarId;
 using ast::VarKind;
 using ast::VarRole;
-
-std::string temp_dir() {
-  static int counter = 0;
-  std::string dir = ::testing::TempDir() + "/ompfuzz_reduce_" +
-                    std::to_string(getpid()) + "_" + std::to_string(counter++);
-  mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 void write_script(const std::string& path, const std::string& content) {
   {
@@ -393,7 +388,7 @@ TEST(SimReduction, ShrinksSeventyPercentAndPreservesClass) {
   const auto result = campaign.run();
   ASSERT_FALSE(result.divergent.empty());
 
-  const auto report = reduce_campaign(result, executor, nullptr);
+  const auto report = reduce_campaign(result, campaign.backends(), nullptr);
   ASSERT_EQ(report.reductions.size(), result.divergent.size());
   for (const auto& row : report.reductions) {
     ASSERT_TRUE(row.reproduced) << row.program_name;
@@ -443,6 +438,31 @@ TEST(SimReduction, DeterministicWithinProcess) {
   EXPECT_EQ(emit::emit_translation_unit(a.program),
             emit::emit_translation_unit(b.program));
   EXPECT_EQ(a.input.to_string(), b.input.to_string());
+}
+
+TEST(SimReduction, SplitBackendsReduceByteIdentically) {
+  harness::SimExecutorOptions opt;
+  opt.num_threads = divergent_sim_config().generator.num_threads;
+  const std::vector<rt::OmpImplProfile> all = {
+      rt::gcc_profile(), rt::clang_profile(), rt::intel_profile()};
+
+  harness::SimExecutor whole(all, opt);
+  harness::Campaign one(divergent_sim_config(), {{&whole, "all"}});
+  const auto one_result = one.run();
+  ASSERT_FALSE(one_result.divergent.empty());
+  const std::string expected = reductions_to_json(
+      reduce_campaign(one_result, one.backends(), nullptr).reductions);
+
+  // gcc | clang,intel: every candidate runs under both backends, columns
+  // concatenated in backend order, so the reductions cannot tell.
+  harness::SimExecutor gcc({all[0]}, opt);
+  harness::SimExecutor rest({all[1], all[2]}, opt);
+  harness::Campaign split(divergent_sim_config(),
+                          {{&gcc, "gcc"}, {&rest, "clang,intel"}});
+  const auto split_result = split.run();
+  EXPECT_EQ(reductions_to_json(
+                reduce_campaign(split_result, split.backends(), nullptr).reductions),
+            expected);
 }
 
 /// Child mode of DeterministicAcrossProcesses: reduces the first divergent
@@ -732,6 +752,84 @@ TEST(OracleExecutorFaults, UndeliveredBatchIsUntrustedNotFatal) {
     EXPECT_EQ(oracle.stats().harness_failures, 2u) << "throws=" << throws;
     EXPECT_EQ(oracle.stats().untrusted_candidates, 1u);
     EXPECT_EQ(oracle.stats().static_rejects, 0u);
+  }
+}
+
+/// Delegates to `inner`, except that its first `failing_calls` run_batch
+/// calls return harness-failure runs, as a transient spawn failure would.
+class FlakyExecutor final : public harness::Executor {
+ public:
+  FlakyExecutor(harness::Executor& inner, int failing_calls)
+      : inner_(inner), failing_calls_(failing_calls) {}
+
+  [[nodiscard]] core::RunResult run(const harness::TestCase& test,
+                                    std::size_t input_index,
+                                    const std::string& impl) override {
+    return inner_.run(test, input_index, impl);
+  }
+  [[nodiscard]] std::vector<core::RunResult> run_batch(
+      const harness::TestCase& test, const std::vector<std::size_t>& inputs,
+      const std::vector<std::string>& impls) override {
+    std::vector<core::RunResult> results = inner_.run_batch(test, inputs, impls);
+    if (calls_.fetch_add(1) < failing_calls_) {
+      for (auto& r : results) {
+        r.status = core::RunStatus::Crash;
+        r.harness_failure = true;
+      }
+    }
+    return results;
+  }
+  [[nodiscard]] std::vector<std::string> implementations() const override {
+    return inner_.implementations();
+  }
+  [[nodiscard]] bool thread_safe() const noexcept override { return true; }
+
+  [[nodiscard]] int calls() const noexcept { return calls_.load(); }
+
+ private:
+  harness::Executor& inner_;
+  int failing_calls_;
+  std::atomic<int> calls_{0};
+};
+
+TEST(OracleExecutorFaults, TransientHarnessFailureIsRetriedAndTrusted) {
+  const Fixture f;
+  const fp::InputSet input = f.input();
+  const InterestingnessOracle::Request request{&f.prog, &input};
+
+  harness::SimExecutor clean_executor;
+  InterestingnessOracle clean(clean_executor);
+  const auto expected = clean.classify({&request, 1});
+  ASSERT_TRUE(expected.front().trusted);
+
+  harness::SimExecutor inner;
+  FlakyExecutor flaky(inner, /*failing_calls=*/1);
+  InterestingnessOracle oracle(flaky);
+  const auto verdicts = oracle.classify({&request, 1});
+  EXPECT_TRUE(verdicts.front().trusted);
+  EXPECT_EQ(verdicts.front().cls, expected.front().cls);
+  EXPECT_EQ(oracle.stats().harness_failures, 0u);
+  EXPECT_EQ(oracle.stats().untrusted_candidates, 0u);
+  EXPECT_EQ(flaky.calls(), 2);  // the failed batch was dispatched again
+}
+
+TEST(OracleStats, IdenticalRequestsInOneBatchDispatchOnce) {
+  const Fixture f;
+  const Program copy = f.prog.clone();
+  const fp::InputSet input = f.input();
+  const std::vector<InterestingnessOracle::Request> requests = {
+      {&f.prog, &input}, {&copy, &input}};
+  for (int repeat = 0; repeat < 20; ++repeat) {
+    harness::SimExecutor executor;
+    const std::uint64_t nj = executor.implementations().size();
+    OracleOptions options;
+    options.threads = 4;
+    InterestingnessOracle oracle(executor, options);
+    const auto verdicts = oracle.classify(requests);
+    ASSERT_EQ(verdicts.size(), 2u);
+    EXPECT_EQ(verdicts[0].cls, verdicts[1].cls);
+    EXPECT_EQ(oracle.stats().executed_runs, nj) << "repeat " << repeat;
+    EXPECT_EQ(oracle.stats().cached_runs, nj) << "repeat " << repeat;
   }
 }
 

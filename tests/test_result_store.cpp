@@ -31,17 +31,10 @@
 #include "support/config.hpp"
 #include "support/error.hpp"
 #include "support/result_store.hpp"
+#include "test_util.hpp"
 
 namespace ompfuzz::harness {
 namespace {
-
-std::string temp_dir() {
-  static int counter = 0;
-  std::string dir = ::testing::TempDir() + "/ompfuzz_store_" +
-                    std::to_string(getpid()) + "_" + std::to_string(counter++);
-  mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 void write_script(const std::string& path, const std::string& content) {
   {

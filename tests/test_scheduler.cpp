@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -23,17 +22,10 @@
 #include "support/config.hpp"
 #include "support/error.hpp"
 #include "support/result_store.hpp"
+#include "test_util.hpp"
 
 namespace ompfuzz::harness {
 namespace {
-
-std::string temp_dir() {
-  static int counter = 0;
-  std::string dir = ::testing::TempDir() + "/ompfuzz_sched_" +
-                    std::to_string(getpid()) + "_" + std::to_string(counter++);
-  mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 CampaignConfig sim_config(int programs, int threads) {
   CampaignConfig cfg;

@@ -412,9 +412,21 @@ TEST(Config, GeneratorFeaturesCsvParsing) {
   EXPECT_THROW(g.enable_features("atomic,tasks"), ConfigError);
 }
 
-TEST(Config, GeneratorFeaturesBoolKeysAlsoWork) {
+TEST(Config, GeneratorFeatureBoolKeysAreRejected) {
+  // `features` is the one spelling of a gate; the per-gate bool keys are
+  // unknown keys, so a config written for them fails instead of running
+  // with the gate off.
+  try {
+    (void)GeneratorConfig::from_config(ConfigFile::parse(
+        "[generator]\nenable_single = true\np_single = 0.25\n"));
+    FAIL() << "enable_single was accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("generator.enable_single"),
+              std::string::npos)
+        << e.what();
+  }
   const auto gen = GeneratorConfig::from_config(ConfigFile::parse(
-      "[generator]\nenable_single = true\np_single = 0.25\n"));
+      "[generator]\nfeatures = single\np_single = 0.25\n"));
   EXPECT_TRUE(gen.enable_single);
   EXPECT_DOUBLE_EQ(gen.p_single, 0.25);
 }
