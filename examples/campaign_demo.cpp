@@ -282,7 +282,7 @@ int run_demo(int argc, char** argv) {
                     .c_str());
     const auto& ostats = reduction_report.oracle_stats;
     std::printf("reduction oracle: %llu candidates, %llu runs executed, "
-                "%llu served by the store\n\n",
+                "%llu served without a dispatch\n\n",
                 static_cast<unsigned long long>(ostats.candidates),
                 static_cast<unsigned long long>(ostats.executed_runs),
                 static_cast<unsigned long long>(ostats.cached_runs));

@@ -77,7 +77,7 @@ int run_demo(int argc, char** argv) {
   std::printf("\n%s\n",
               reduce::render_reduction_table(report.reductions).c_str());
   std::printf("oracle: %llu candidates in %llu batches, %llu runs executed, "
-              "%llu served by the store\n\n",
+              "%llu served without a dispatch\n\n",
               static_cast<unsigned long long>(report.oracle_stats.candidates),
               static_cast<unsigned long long>(report.oracle_stats.batches),
               static_cast<unsigned long long>(report.oracle_stats.executed_runs),

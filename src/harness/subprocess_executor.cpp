@@ -13,6 +13,7 @@
 #include "emit/codegen.hpp"
 #include "support/error.hpp"
 #include "support/fault_injection.hpp"
+#include "support/json_writer.hpp"
 #include "support/string_utils.hpp"
 #include "support/telemetry.hpp"
 
@@ -192,7 +193,8 @@ void SubprocessExecutor::build_prelude(std::size_t i) {
       if (span_start_ns != 0) {
         telemetry::Tracer::instance().complete(
             "compile", "compile", span_start_ns - 1, telemetry::Tracer::now_ns(),
-            "\"impl\":\"" + impls_[i].name + "\",\"pch\":true");
+            "\"impl\":\"" + JsonWriter::escape(impls_[i].name) +
+                "\",\"pch\":true");
       }
       if (closing_) return;  // killed by the destructor, not a failed build
       const bool ok = succeeded(build);
@@ -311,7 +313,7 @@ void SubprocessExecutor::submit_compile(
     span_start_ns = telemetry::Tracer::now_ns() + 1;
     span_args = "\"fingerprint\":\"" +
                 telemetry::hex_fingerprint(test.program.fingerprint()) +
-                "\",\"impl\":\"" + impl.name + "\"";
+                "\",\"impl\":\"" + JsonWriter::escape(impl.name) + "\"";
   }
   pool_->submit(std::move(job), [then = std::move(then), bin, span_start_ns,
                                 span_args = std::move(span_args)](

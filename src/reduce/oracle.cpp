@@ -1,13 +1,11 @@
 #include "reduce/oracle.hpp"
 
-#include <algorithm>
 #include <iterator>
 
 #include "analysis/value_range.hpp"
 #include "support/config.hpp"
 #include "support/error.hpp"
 #include "support/telemetry.hpp"
-#include "support/thread_pool.hpp"
 
 namespace ompfuzz::reduce {
 
@@ -27,7 +25,9 @@ struct OneResult {
 
 InterestingnessOracle::InterestingnessOracle(
     std::vector<harness::CampaignBackend> backends, OracleOptions options)
-    : options_(options), plan_(harness::plan_backends(backends)) {
+    : options_(options),
+      plan_(harness::plan_backends(backends)),
+      pool_(resolve_thread_count(options.threads)) {
   for (const harness::BackendPlan& backend : plan_) num_impls_ += backend.impls.size();
   OMPFUZZ_CHECK(num_impls_ > 0, "oracle needs implementations");
 }
@@ -115,17 +115,10 @@ InterestingnessOracle::classify(std::span<const Request> requests) {
   };
 
   std::vector<OneResult> partials(n);
-  const std::size_t workers =
-      std::min(resolve_thread_count(options_.threads), distinct.size());
-  if (workers <= 1) {
-    for (const std::size_t i : distinct) partials[i] = run_one(i);
-  } else {
-    ThreadPool pool(workers);
-    parallel_for(pool, static_cast<int>(distinct.size()), [&](int k) {
-      const std::size_t i = distinct[static_cast<std::size_t>(k)];
-      partials[i] = run_one(i);
-    });
-  }
+  parallel_for(pool_, static_cast<int>(distinct.size()), [&](int k) {
+    const std::size_t i = distinct[static_cast<std::size_t>(k)];
+    partials[i] = run_one(i);
+  });
 
   ++stats_.batches;
   stats_.candidates += n;

@@ -34,6 +34,7 @@
 #include "core/differ.hpp"
 #include "harness/campaign.hpp"
 #include "support/result_store.hpp"
+#include "support/thread_pool.hpp"
 
 namespace ompfuzz::reduce {
 
@@ -127,6 +128,10 @@ class InterestingnessOracle {
   /// oracle's lifetime, so this also holds for one without a store identity.
   std::map<std::pair<std::uint64_t, std::string>, core::VerdictClass> memo_;
   OracleStats stats_;
+  /// Every classify() dispatches through this pool (options.threads
+  /// workers), made once: the reducer classifies one generation at a time,
+  /// and most generations hold a single candidate.
+  ThreadPool pool_;
 };
 
 }  // namespace ompfuzz::reduce

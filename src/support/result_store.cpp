@@ -14,8 +14,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
+#include <vector>
 
 #include "support/error.hpp"
 #include "support/fault_injection.hpp"
@@ -152,6 +152,25 @@ bool parse_status(std::string_view text, core::RunStatus& out) {
   return true;
 }
 
+/// The 128-bit content address of a canonical key (RunKey::digest()).
+std::array<std::uint64_t, 2> canonical_digest(const std::string& canonical) {
+  const std::uint64_t lo = fnv1a64(canonical);
+  // Second word: FNV-1a over the same bytes from a *different starting
+  // state* (the salt prefix is absorbed first). A trailing salt would make
+  // hi a pure function of lo — FNV is iterative — collapsing the digest to
+  // 64 bits; a leading salt keeps the two passes independent.
+  const std::uint64_t hi = fnv1a64("ompfuzz-run-key-hi|" + canonical);
+  return {hi, lo};
+}
+
+/// `<dir>/runs/<dd>/<digest>.run` for a canonical key: the 32-hex digest
+/// names the record, fanned out by its first byte.
+std::string record_path(const std::string& dir, const std::string& canonical) {
+  const auto d = canonical_digest(canonical);
+  const std::string hex = hex64(d[0]) + hex64(d[1]);
+  return dir + "/runs/" + hex.substr(0, 2) + "/" + hex + ".run";
+}
+
 /// Process-wide registry mirrors of the per-instance store tallies: one
 /// registration shared by every ResultStore in the process, so the metrics
 /// sampler sees aggregate store traffic.
@@ -183,14 +202,7 @@ std::string RunKey::canonical() const {
 }
 
 std::array<std::uint64_t, 2> RunKey::digest() const {
-  const std::string text = canonical();
-  const std::uint64_t lo = fnv1a64(text);
-  // Second word: FNV-1a over the same bytes from a *different starting
-  // state* (the salt prefix is absorbed first). A trailing salt would make
-  // hi a pure function of lo — FNV is iterative — collapsing the digest to
-  // 64 bits; a leading salt keeps the two passes independent.
-  const std::uint64_t hi = fnv1a64("ompfuzz-run-key-hi|" + text);
-  return {hi, lo};
+  return canonical_digest(canonical());
 }
 
 std::string store_impl_identity(const std::string& impl_name,
@@ -210,40 +222,18 @@ ResultStore::ResultStore(StoreConfig config) : config_(std::move(config)) {
   }
 }
 
-std::string ResultStore::object_path(const RunKey& key) const {
-  const auto d = key.digest();
-  const std::string hex = hex64(d[0]) + hex64(d[1]);
-  return config_.dir + "/runs/" + hex.substr(0, 2) + "/" + hex + ".run";
-}
-
 std::optional<core::RunResult> ResultStore::lookup(const RunKey& key) {
   telemetry::ScopedSpan span("store", "lookup");
   if (span.active()) {
     span.arg("fingerprint",
              telemetry::hex_fingerprint(key.program_fingerprint));
   }
-  const auto d = key.digest();
-  const std::string hex = hex64(d[0]) + hex64(d[1]);
-  const std::string canonical = key.canonical();
-
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto it = memo_.find(hex); it != memo_.end()) {
-      if (it->second.first == canonical) {
-        hits_.add();
-        store_metrics().hits.add();
-        return it->second.second;
-      }
-      // Digest collision against an in-memory record.
-      misses_.add();
-      store_metrics().misses.add();
-      return std::nullopt;
-    }
-  }
-
-  // Disk I/O outside the lock: record files are immutable-once-renamed, so
+  // Every lookup reads the record file: the files are the store's only
+  // tier, so a record another store instance evicted (or never wrote) can
+  // never be served. Record files are immutable once renamed into place, so
   // concurrent readers (and writers of other keys) need no coordination.
-  const std::string path = object_path(key);
+  const std::string canonical = key.canonical();
+  const std::string path = record_path(config_.dir, canonical);
   std::string text;
   {
     std::ifstream in(path);
@@ -289,20 +279,16 @@ std::optional<core::RunResult> ResultStore::lookup(const RunKey& key) {
     if (!output || !parse_hex64(*output, output_bits)) return false;
     return true;
   }();
-  if (ok) {
-    // Refresh the record's timestamps so LRU eviction (gc) sees this read
-    // even on noatime mounts. Best-effort: a failure only ages the record.
-    (void)::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
-  }
   if (!ok) {
     misses_.add();
     store_metrics().misses.add();
     return std::nullopt;
   }
+  // Refresh the record's timestamps so LRU eviction (gc) sees this read
+  // even on noatime mounts. Best-effort: a failure only ages the record.
+  (void)::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
   run.time_us = std::bit_cast<double>(time_bits);
   run.output = std::bit_cast<double>(output_bits);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  memo_[hex] = {canonical, run};
   hits_.add();
   store_metrics().hits.add();
   return run;
@@ -316,49 +302,48 @@ void ResultStore::put(const RunKey& key, const core::RunResult& result) {
     span.arg("fingerprint",
              telemetry::hex_fingerprint(key.program_fingerprint));
   }
-  const auto d = key.digest();
-  const std::string hex = hex64(d[0]) + hex64(d[1]);
   const std::string canonical = key.canonical();
+  const std::string path = record_path(config_.dir, canonical);
 
   std::string record = "ompfuzz-run v1\nkey " + canonical + "\n";
   record += serialize_run(result);
 
-  // Disk I/O outside the lock: mkdir tolerates EEXIST, temp names are
-  // unique per call, and the rename is atomic — concurrent same-key writers
-  // are last-wins with identical content. Only memo_/stats_ need the mutex,
-  // so campaign workers don't serialize behind each other's fsyncs.
+  // No lock anywhere: mkdir tolerates EEXIST, temp names are unique per
+  // call, and the rename is atomic — concurrent same-key writers are
+  // last-wins with identical content, so campaign workers don't serialize
+  // behind each other's fsyncs.
   //
   // A failed write (ENOSPC, a dying disk, an injected fault) must NOT
   // propagate out of a campaign worker thread: the store is a cache, and a
-  // cache that cannot persist merely forgets — the result is still correct
-  // and still memoized in-process. Failures are counted; after a run of
-  // consecutive failures (a full disk does not get better by retrying) disk
-  // writes are disabled for the life of this store with one stderr warning.
+  // cache that cannot persist merely forgets — the caller still holds the
+  // correct result, and a later lookup of the key misses and re-executes.
+  // Failures are counted; after a run of consecutive failures (a full disk
+  // does not get better by retrying) disk writes are disabled for the life
+  // of this store with one stderr warning.
   bool write_ok = false;
   if (!writes_disabled_.load(std::memory_order_relaxed)) {
     try {
-      make_dir(config_.dir + "/runs/" + hex.substr(0, 2));
-      write_file_atomic(object_path(key), record);
+      make_dir(path.substr(0, path.find_last_of('/')));
+      write_file_atomic(path, record);
       write_ok = true;
     } catch (const Error&) {
     }
   }
 
-  const std::lock_guard<std::mutex> lock(mutex_);
-  memo_[hex] = {canonical, result};
   if (write_ok) {
     puts_.add();
     store_metrics().puts.add();
-    consecutive_write_failures_ = 0;
+    consecutive_write_failures_.store(0, std::memory_order_relaxed);
   } else {
     write_failures_.add();
     store_metrics().write_failures.add();
-    if (++consecutive_write_failures_ >= kWriteFailureLimit &&
+    if (consecutive_write_failures_.fetch_add(1, std::memory_order_relaxed) + 1 >=
+            kWriteFailureLimit &&
         !writes_disabled_.exchange(true, std::memory_order_relaxed)) {
       std::fprintf(stderr,
                    "ompfuzz: result store disabled after %d consecutive "
                    "write failures (last: %s); campaign continues uncached\n",
-                   kWriteFailureLimit, object_path(key).c_str());
+                   kWriteFailureLimit, path.c_str());
     }
   }
 }
@@ -378,7 +363,6 @@ ResultStore::Stats ResultStore::stats() const {
 namespace {
 
 struct RecordFile {
-  std::string hex;   ///< 32-hex digest (file stem)
   std::string path;
   std::uint64_t bytes = 0;
   struct timespec atime = {};
@@ -395,17 +379,6 @@ bool older(const RecordFile& a, const RecordFile& b) {
 ResultStore::GcStats ResultStore::gc() {
   GcStats out;
   if (config_.max_bytes <= 0) return out;
-
-  // Memo hits never touch the disk, so a record this process kept reading
-  // from memory would look cold to the atime order. The memo is exactly the
-  // process's working set (everything read or written here): refresh those
-  // records now, before ordering, so eviction prefers records no live
-  // campaign is using.
-  std::set<std::string> warm;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [hex, entry] : memo_) warm.insert(hex);
-  }
 
   // Scan runs/<dd>/*.run. Temp files of in-flight put()s are skipped: they
   // are renamed into place atomically, so deleting only finished records can
@@ -426,11 +399,7 @@ ResultStore::GcStats ResultStore::gc() {
         continue;
       }
       RecordFile record;
-      record.hex = name.substr(0, name.size() - 4);
       record.path = sub + "/" + name;
-      if (warm.contains(record.hex)) {
-        (void)::utimensat(AT_FDCWD, record.path.c_str(), nullptr, 0);
-      }
       struct stat st = {};
       if (::stat(record.path.c_str(), &st) != 0) continue;
       record.bytes = static_cast<std::uint64_t>(st.st_size);
@@ -456,10 +425,6 @@ ResultStore::GcStats ResultStore::gc() {
     total -= record.bytes;
     ++out.evicted_files;
     out.evicted_bytes += record.bytes;
-    // The in-process memo must forget the record too, or this process would
-    // keep "hitting" an entry it just evicted from disk.
-    const std::lock_guard<std::mutex> lock(mutex_);
-    memo_.erase(record.hex);
   }
   return out;
 }

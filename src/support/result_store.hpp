@@ -10,7 +10,10 @@
 // executes only the triples whose records had not been written yet. Every
 // record is written temp-then-rename with fsync, so a crash leaves either a
 // whole record or none. Because the key is the content, a changed config can
-// only miss — it can never restore another configuration's result.
+// only miss — it can never restore another configuration's result. The
+// record files are the store's only tier: nothing is cached in memory, so
+// every hit is read from its file and every store instance on a directory
+// sees the same records.
 //
 // The store holds raw executor observations only (status, time bits, output
 // bits). Verdicts and divergence are recomputed by the campaign's
@@ -25,8 +28,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -79,17 +80,19 @@ class ResultStore {
  public:
   explicit ResultStore(StoreConfig config);
 
-  /// Returns the cached result for `key`, or nullopt. A record whose
-  /// embedded canonical key differs from `key` (digest collision) or that
-  /// fails to parse (foreign/corrupt file) is treated as a miss.
+  /// Returns the result recorded for `key`, read from its record file, or
+  /// nullopt. A record whose embedded canonical key differs from `key`
+  /// (digest collision) or that fails to parse (foreign/corrupt file) is
+  /// treated as a miss.
   [[nodiscard]] std::optional<core::RunResult> lookup(const RunKey& key);
 
   /// Persists `result` under `key` (atomically, last writer wins). Disk I/O
-  /// failure (ENOSPC, fsync error) never throws: the result stays memoized
-  /// in-process, the failure is counted in stats().write_failures, and after
-  /// kWriteFailureLimit consecutive failures disk writes are disabled for
-  /// the life of this store (one stderr warning) — a campaign degrades to
-  /// uncached execution instead of aborting from a worker thread.
+  /// failure (ENOSPC, fsync error) never throws: nothing is kept (a later
+  /// lookup of `key` misses), the failure is counted in
+  /// stats().write_failures, and after kWriteFailureLimit consecutive
+  /// failures disk writes are disabled for the life of this store (one
+  /// stderr warning) — a campaign degrades to uncached execution instead of
+  /// aborting from a worker thread.
   void put(const RunKey& key, const core::RunResult& result);
 
   struct Stats {
@@ -122,29 +125,22 @@ class ResultStore {
 
   /// Size-bounded garbage collection: when the record files exceed
   /// `config.max_bytes`, evicts least-recently-used records (by atime —
-  /// lookup() refreshes the timestamp of every record it reads from disk,
-  /// and gc() refreshes everything in the in-process memo — the working set
-  /// served from memory — before ordering, so the order is meaningful on
-  /// noatime mounts and for memo-hot records alike) until the cache fits
-  /// the budget. In-flight temp files are skipped; deleting a record never
-  /// races a writer (put() recreates it atomically, temp-then-rename).
-  /// No-op when max_bytes is 0.
+  /// every lookup() hit refreshes its record's timestamp, so the order is
+  /// meaningful on noatime mounts) until the cache fits the budget. gc()
+  /// touches only the files: every store on the directory, this one
+  /// included, misses an evicted record from then on. In-flight temp files
+  /// are skipped; deleting a record never races a writer (put() recreates
+  /// it atomically, temp-then-rename). No-op when max_bytes is 0.
   GcStats gc();
 
   [[nodiscard]] const std::string& dir() const noexcept { return config_.dir; }
   [[nodiscard]] const StoreConfig& config() const noexcept { return config_; }
 
  private:
-  [[nodiscard]] std::string object_path(const RunKey& key) const;
-
   StoreConfig config_;
-  mutable std::mutex mutex_;
-  /// Digest hex -> (canonical key, result) for everything read or written by
-  /// this process, so a warm shard never re-reads its record files.
-  std::map<std::string, std::pair<std::string, core::RunResult>> memo_;
-  /// Per-instance tallies (telemetry::Counter is a relaxed atomic — readable
-  /// without mutex_), each mirrored into the process-wide registry metric
-  /// named in the comment so the sampler and renderers see store traffic.
+  /// Per-instance tallies (telemetry::Counter is a relaxed atomic), each
+  /// mirrored into the process-wide registry metric named in the comment so
+  /// the sampler and renderers see store traffic.
   telemetry::Counter hits_;            ///< store.hits
   telemetry::Counter misses_;          ///< store.misses
   telemetry::Counter puts_;            ///< store.puts
@@ -152,7 +148,7 @@ class ResultStore {
   /// Set once kWriteFailureLimit consecutive put() I/O failures occur;
   /// read lock-free on the put() fast path.
   std::atomic<bool> writes_disabled_{false};
-  int consecutive_write_failures_ = 0;  ///< guarded by mutex_
+  std::atomic<int> consecutive_write_failures_{0};
 };
 
 }  // namespace ompfuzz

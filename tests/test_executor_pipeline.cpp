@@ -797,6 +797,29 @@ std::string read_file(const std::string& path) {
   return text.str();
 }
 
+// Implementation names are INI keys, so they may hold any character: the
+// compile span must escape the name, or one `"` makes trace.json invalid.
+TEST(SubprocessTrace, CompileSpanEscapesTheImplementationName) {
+  const std::string dir = temp_dir();
+  const std::string name = "cc\"q\\x";
+  std::vector<ImplementationSpec> impls = {
+      {name, make_stub_compiler(dir, "cc", "echo 1\n") + " {src} {bin}", ""},
+  };
+  SubprocessOptions opt;
+  opt.work_dir = dir + "/work";
+  SubprocessExecutor exec(impls, opt);
+  const TestCase test = Campaign(stub_campaign_config(1, 1), exec).make_test_case(0);
+  const std::string path = dir + "/trace.json";
+  telemetry::Tracer::instance().start(path);
+  const auto runs = exec.run_batch(test, {0}, {name});
+  ASSERT_TRUE(telemetry::Tracer::instance().stop());
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].status, core::RunStatus::Ok);
+  const std::string trace = read_file(path);
+  EXPECT_NE(trace.find(R"("impl":"cc\"q\\x")"), std::string::npos) << trace;
+  EXPECT_EQ(trace.find(R"("impl":"cc"q\x")"), std::string::npos) << trace;
+}
+
 /// The first `n` programs of a real-g++-sized campaign stream (trip counts
 /// <= 10), optionally with every feature gate on.
 std::vector<TestCase> gxx_stream(int n, bool all_gates) {

@@ -411,8 +411,8 @@ TEST(StoreDegrade, FsyncFailuresAreWriteFailuresToo) {
   store.put(RunKey{0x1234, "0x1p+0", "sim;gcc"}, result);
   EXPECT_EQ(store.stats().puts, 0u);
   EXPECT_EQ(store.stats().write_failures, 1u);
-  // The result is still memoized in-process: same-store lookups keep hitting.
-  EXPECT_TRUE(store.lookup(RunKey{0x1234, "0x1p+0", "sim;gcc"}).has_value());
+  // The put never reached disk, so there is nothing to hit.
+  EXPECT_FALSE(store.lookup(RunKey{0x1234, "0x1p+0", "sim;gcc"}).has_value());
 }
 
 TEST(StoreDegrade, ReadFaultsAreMissesAndCampaignRecovers) {
@@ -432,7 +432,7 @@ TEST(StoreDegrade, ReadFaultsAreMissesAndCampaignRecovers) {
   }
 
   for (const char* site : {"store_read_short", "store_read_corrupt"}) {
-    // A fresh store (cold memo) must treat damaged records as misses and the
+    // A store reading damaged records must treat them as misses and the
     // campaign must re-execute to the identical report.
     const ScopedFaultInjection scoped(faults_at(site, 1.0));
     ResultStore store(store_config(dir));

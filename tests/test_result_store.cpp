@@ -621,8 +621,27 @@ TEST(StoreGc, EvictionForgetsTheInProcessMemo) {
   ASSERT_TRUE(store.lookup(gc_key(0)).has_value());
   const auto stats = store.gc();
   EXPECT_EQ(stats.evicted_files, 1u);
-  // Without the memo purge this would still "hit" the evicted record.
+  // The record file was the only copy: the store that swept it misses too.
   EXPECT_FALSE(store.lookup(gc_key(0)).has_value());
+}
+
+TEST(StoreGc, EvictionByAnotherStoreIsAMissForEveryStore) {
+  // Two stores on one directory, as two campaigns sharing a cache would
+  // have: once B's sweep evicts a record, A must miss it too, even though
+  // A wrote and read that record itself.
+  StoreConfig cfg = store_config(temp_dir());
+  ResultStore a(cfg);
+  core::RunResult r;
+  r.impl = "cc";
+  a.put(gc_key(0), r);
+  ASSERT_TRUE(a.lookup(gc_key(0)).has_value());
+
+  cfg.max_bytes = 1;  // everything must go
+  ResultStore b(cfg);
+  EXPECT_EQ(b.gc().evicted_files, 1u);
+  EXPECT_FALSE(a.lookup(gc_key(0)).has_value());
+  EXPECT_EQ(a.stats().hits, 1u);
+  EXPECT_EQ(a.stats().misses, 1u);
 }
 
 TEST(StoreGc, UnboundedStoreNeverEvicts) {
@@ -655,8 +674,8 @@ TEST(StoreGc, LookupRefreshesAtimeSoWarmRecordsSurvive) {
   set_atime(record_path(cfg, gc_key(0)), base);
   set_atime(record_path(cfg, gc_key(1)), base + 60);
 
-  // A fresh store (cold memo) reads record 0 from disk: that lookup must
-  // refresh its timestamp, making record 1 the eviction victim.
+  // Reading record 0 must refresh its timestamp, making record 1 the
+  // eviction victim.
   cfg.max_bytes = static_cast<std::int64_t>(record_bytes);
   ResultStore store(cfg);
   ASSERT_TRUE(store.lookup(gc_key(0)).has_value());
@@ -664,38 +683,6 @@ TEST(StoreGc, LookupRefreshesAtimeSoWarmRecordsSurvive) {
   EXPECT_EQ(stats.evicted_files, 1u);
   EXPECT_TRUE(store.lookup(gc_key(0)).has_value());
   EXPECT_FALSE(store.lookup(gc_key(1)).has_value());
-}
-
-TEST(StoreGc, MemoWarmRecordsAreTreatedAsFresh) {
-  StoreConfig cfg = store_config(temp_dir());
-  std::uint64_t record_bytes = 0;
-  {
-    ResultStore writer(cfg);
-    for (int i = 0; i < 2; ++i) {
-      core::RunResult r;
-      r.impl = "cc";
-      writer.put(gc_key(i), r);
-    }
-    struct stat st = {};
-    ASSERT_EQ(stat(record_path(cfg, gc_key(0)).c_str(), &st), 0);
-    record_bytes = static_cast<std::uint64_t>(st.st_size);
-  }
-
-  cfg.max_bytes = static_cast<std::int64_t>(record_bytes);
-  ResultStore store(cfg);
-  // Record 0 enters the memo via one disk read; every later hit would be
-  // memory-only and never touch its atime...
-  ASSERT_TRUE(store.lookup(gc_key(0)).has_value());
-  ASSERT_TRUE(store.lookup(gc_key(0)).has_value());
-  // ...so backdate both files to simulate the atimes GC would observe after
-  // a long run: 0 older than 1 on disk, but 0 is the process's working set.
-  const std::time_t base = 1'700'000'000;
-  set_atime(record_path(cfg, gc_key(0)), base);
-  set_atime(record_path(cfg, gc_key(1)), base + 60);
-  const auto stats = store.gc();
-  EXPECT_EQ(stats.evicted_files, 1u);
-  EXPECT_TRUE(store.lookup(gc_key(0)).has_value());   // memo-warm: kept
-  EXPECT_FALSE(store.lookup(gc_key(1)).has_value());  // cold: evicted
 }
 
 TEST(StoreGc, ConfigParsesAndValidatesMaxBytes) {
