@@ -2,7 +2,7 @@
 //
 // A Program is the `compute` kernel: a symbol table, an ordered parameter
 // list, the `comp` result accumulator, and a body block. The emitter wraps it
-// in a main() that parses inputs, runs compute() under a std::chrono timer,
+// in a main() that parses inputs, runs compute() under a monotonic timer,
 // and prints comp — exactly the artifact the paper's driver compiles with
 // each OpenMP implementation.
 #pragma once

@@ -300,15 +300,19 @@ class Emitter {
     }
     blank();
     line("double comp = 0.0;");
-    line("auto _t0 = std::chrono::high_resolution_clock::now();");
+    // clock_gettime, not std::chrono: main() stays libstdc++-free (codegen.hpp).
+    line("timespec _t0, _t1;");
+    line("clock_gettime(CLOCK_MONOTONIC, &_t0);");
     {
       std::vector<std::string> args = {"&comp"};
       for (VarId id : params) args.push_back(name(id));
       line("compute(" + join(args, ", ") + ");");
     }
-    line("auto _t1 = std::chrono::high_resolution_clock::now();");
-    line("long long _us = std::chrono::duration_cast<std::chrono::microseconds>"
-         "(_t1 - _t0).count();");
+    line("clock_gettime(CLOCK_MONOTONIC, &_t1);");
+    // Whole nanoseconds first, then truncate: the same value as
+    // duration_cast<microseconds>, also when tv_nsec borrows.
+    line("long long _us = (((long long)_t1.tv_sec - _t0.tv_sec) * 1000000000LL"
+         " + (_t1.tv_nsec - _t0.tv_nsec)) / 1000;");
     line(R"(std::printf("%.17g\n", comp);)");
     line(R"(std::printf("time_us: %lld\n", _us);)");
     for (VarId id : params) {
@@ -339,10 +343,10 @@ std::string emit_fp_literal(double v) {
 
 const std::string& prelude() {
   static const std::string text =
-      "#include <chrono>\n"
       "#include <cmath>\n"
       "#include <cstdio>\n"
       "#include <cstdlib>\n"
+      "#include <ctime>\n"
       "#include <omp.h>\n";
   return text;
 }

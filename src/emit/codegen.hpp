@@ -7,8 +7,13 @@
 //   int main(int argc, char** argv)                  — parses one input value
 //       per parameter from argv (hex-float format round-trips exactly),
 //       allocates and fill-initializes arrays, times compute() with
-//       std::chrono at microsecond granularity, prints the comp value
-//       (%.17g) and "time_us: <n>".
+//       clock_gettime(CLOCK_MONOTONIC) at microsecond granularity, prints
+//       the comp value (%.17g) and "time_us: <n>".
+//
+// The driver references nothing in libstdc++.so, so a binary links only
+// libc, libm and libgomp: loading libstdc++'s symbol table used to be most
+// of each program's link. Keep main() that way (no std::chrono, iostreams
+// or containers); a test checks the binary's NEEDED entries.
 //
 // Typing discipline (mirrored exactly by the interpreter so in-process and
 // compiled executions agree bit for bit):

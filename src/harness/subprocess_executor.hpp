@@ -43,7 +43,7 @@
 // compile-failure attribution and crash/hang isolation are unchanged.
 // Compiles never wait for the PCH: one submitted while it builds, or after
 // its build failed, compiles plainly. A one-program campaign builds nothing.
-// The PCH (~17 MB per command) is the one artifact that lives as long as
+// The PCH (~15 MB per command) is the one artifact that lives as long as
 // the executor; the destructor removes <work_dir>/pch/. Registry counters:
 // exec.pch_builds, exec.pch_failures, exec.pch_compiles (compiles that used
 // a PCH).

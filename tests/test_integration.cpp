@@ -95,6 +95,57 @@ TEST(RealCompile, EmittedProgramsCompileAndRun) {
   EXPECT_TRUE(starts_with(lines[1], "time_us: "));
 }
 
+bool have_readelf() {
+  return std::system("readelf --version > /dev/null 2>&1") == 0;
+}
+
+// The harness around compute() references nothing in libstdc++.so (see
+// emit/codegen.hpp), so a campaign program's binary must not load it, and
+// its clock_gettime timing must still print.
+TEST(RealCompile, EmittedBinaryDoesNotNeedLibstdcxx) {
+  if (!have_gxx()) GTEST_SKIP() << "no g++ available";
+  if (!have_readelf()) GTEST_SKIP() << "no readelf available";
+  CampaignConfig cfg;
+  cfg.num_programs = 1;
+  cfg.inputs_per_program = 1;
+  cfg.generator.max_loop_trip_count = 10;
+  harness::SimExecutor sim;
+  const harness::Campaign campaign(cfg, sim);
+  const auto test = campaign.make_test_case(0);
+
+  const std::string dir = temp_dir();
+  const std::string src = dir + "/t.cpp";
+  const std::string bin = dir + "/t.bin";
+  std::ofstream(src) << emit::emit_translation_unit(test.program);
+  const auto compile =
+      harness::run_process({"g++", "-fopenmp", "-O0", src, "-o", bin}, 60000);
+  ASSERT_EQ(compile.exit_code, 0) << "emitted program failed to compile";
+
+  const auto dynamic = harness::run_process({"readelf", "-d", bin}, 10000);
+  ASSERT_EQ(dynamic.exit_code, 0);
+  int needed = 0;
+  for (const auto& entry : split(dynamic.output, '\n')) {
+    if (entry.find("(NEEDED)") == std::string::npos) continue;
+    ++needed;
+    EXPECT_EQ(entry.find("libstdc++"), std::string::npos) << entry;
+  }
+  EXPECT_GT(needed, 0) << dynamic.output;  // at least libc
+
+  std::vector<std::string> argv = {bin};
+  for (const auto& a : test.inputs[0].to_argv()) argv.push_back(a);
+  const auto run = harness::run_process(argv, 30000);
+  ASSERT_EQ(run.exit_code, 0);
+  const auto lines = split(run.output, '\n');
+  ASSERT_GE(lines.size(), 2u) << run.output;
+  ASSERT_TRUE(starts_with(lines[1], "time_us: ")) << run.output;
+  const std::string digits = lines[1].substr(9);
+  ASSERT_FALSE(digits.empty());
+  char* end = nullptr;
+  const long long us = std::strtoll(digits.c_str(), &end, 10);
+  EXPECT_EQ(*end, '\0') << lines[1];
+  EXPECT_GE(us, 0);
+}
+
 // Property: on single-thread teams, the interpreter and the real compiled
 // binary agree bit for bit on the printed comp value.
 class InterpVsBinary : public ::testing::TestWithParam<std::uint64_t> {};
