@@ -154,11 +154,11 @@ TestCase Campaign::make_test_case(int program_index,
 
 namespace {
 
-/// One program's classified result, built by the unit that completes the
-/// program and aggregated in program order so a scheduled campaign is
-/// bit-identical to a serial one. Classification waits for ALL backends of a
-/// program: the outlier analysis compares an implementation against the
-/// whole team, which spans backends.
+/// One program's classified result, built by the program's unit and
+/// aggregated in program order so a scheduled campaign is bit-identical to a
+/// serial one. Classification sees ALL backends of a program: the outlier
+/// analysis compares an implementation against the whole team, which spans
+/// backends.
 struct MergedShard {
   std::vector<TestOutcome> outcomes;
   std::vector<DivergentTriple> divergent;
@@ -415,9 +415,8 @@ std::vector<core::RunResult> fabricate_runs(const std::vector<std::string>& impl
 
 /// Joins program `p`'s backend runs — backend columns concatenated per input
 /// row — classifies every outcome, and retains the divergent ones from
-/// `test`, the TestCase the completing unit executed (its program is moved
-/// into the first divergent triple). `analysis` is that unit's draft
-/// accounting (every unit of a program has the same).
+/// `test`, the TestCase the unit executed (its program is moved into the
+/// first divergent triple). `analysis` is that unit's draft accounting.
 MergedShard merge_program(const std::vector<BackendPlan>& plan,
                           const core::OutlierDetector& detector, TestCase& test,
                           const StaticAnalysisStats& analysis, int p,
@@ -456,13 +455,13 @@ struct Execution {
   SchedulerStats scheduler_stats;
 };
 
-/// Runs every (program, backend) unit on a pool of `config.threads`
-/// workers. Units are deterministic in isolation thanks to the per-program
+/// Runs one unit per program on a pool of `config.threads` workers. Units
+/// are deterministic in isolation thanks to the per-program
 /// RandomEngine::fork streams in make_test_case, and every executed triple
-/// reaches the store as its unit completes, so a killed campaign re-run on
-/// the same store executes only the triples that never got there. The unit
-/// that completes a program classifies it (merge_program) from its own
-/// TestCase, so no program is generated again for the merge.
+/// reaches the store as its (program, backend) sub-shard completes, so a
+/// killed campaign re-run on the same store executes only the triples that
+/// never got there. A unit classifies its program (merge_program) from its
+/// own TestCase, so no program is generated again for the merge.
 Execution execute_units(const Campaign& campaign,
                         const std::vector<BackendPlan>& plan,
                         ResultStore* store, const CampaignMetrics& metrics,
@@ -473,10 +472,10 @@ Execution execute_units(const Campaign& campaign,
   const int num_programs = config.num_programs;
   const auto np = static_cast<std::size_t>(num_programs);
 
-  // Backend health: a backend whose units keep coming back fully exhausted
+  // Backend health: a backend whose sub-shards keep coming back exhausted
   // (tainted even after run_on_backend's retries) is declared dead after
   // `retry.backend_death_threshold` consecutive tainted sub-shards. From
-  // then on its units are fabricated without touching the executor and
+  // then on its sub-shards are fabricated without touching the executor and
   // surface as quarantined triples plus a lost_backends entry.
   struct BackendHealth {
     std::atomic<int> consecutive{0};
@@ -486,8 +485,8 @@ Execution execute_units(const Campaign& campaign,
   metrics.live_backends->set(static_cast<std::int64_t>(nb));
   const int death_threshold = config.retry.backend_death_threshold;
 
-  // Executes one (program, backend) unit on `test`, or fabricates it once
-  // the backend is dead, updating the health streak.
+  // Executes one (program, backend) sub-shard on `test`, or fabricates it
+  // once the backend is dead, updating the health streak.
   const auto execute_unit = [&](std::size_t b, const TestCase& test,
                                 int p) -> std::vector<core::RunResult> {
     if (health[b].dead.load(std::memory_order_acquire)) {
@@ -524,36 +523,25 @@ Execution execute_units(const Campaign& campaign,
 
   Execution out;
   out.programs.resize(np);
-  std::vector<std::vector<std::vector<core::RunResult>>> grid(
-      np, std::vector<std::vector<core::RunResult>>(nb));
-  std::vector<std::atomic<int>> remaining(np);
-  for (auto& left : remaining) left.store(static_cast<int>(nb), std::memory_order_relaxed);
-
   int completed = 0;
   std::mutex progress_mutex;
   // Live-progress gauges for the sampler/heartbeat.
-  const std::size_t num_units = np * nb;
-  metrics.units_total->set(static_cast<std::int64_t>(num_units));
+  metrics.units_total->set(num_programs);
   metrics.units_done->set(0);
 
-  // Unit u is program u % np under backend u / np: backend-major, programs
-  // in order within each backend. The pool hands units out FIFO, so one
-  // worker runs them in exactly this order. Each unit generates its program
-  // once; the unit that brings remaining[p] to 0 sees every other unit's
-  // sub-shard (acq_rel) and classifies the program before freeing its row.
-  const auto run_unit = [&](int u) {
-    const std::size_t b = static_cast<std::size_t>(u) / np;
-    const std::size_t p = static_cast<std::size_t>(u) % np;
-    const int program = static_cast<int>(p);
+  // Unit p is program p: generated once, run under every backend in backend
+  // order, then classified against the whole team.
+  const auto run_unit = [&](int p) {
     const std::uint64_t t0 = telemetry::Tracer::now_ns();
     StaticAnalysisStats analysis;
-    TestCase test = campaign.make_test_case(program, &analysis);
-    grid[p][b] = execute_unit(b, test, program);
+    TestCase test = campaign.make_test_case(p, &analysis);
+    std::vector<std::vector<core::RunResult>> row;
+    row.reserve(nb);
+    for (std::size_t b = 0; b < nb; ++b) row.push_back(execute_unit(b, test, p));
     metrics.unit_micros->record((telemetry::Tracer::now_ns() - t0) / 1000);
     metrics.units_done->add(1);
-    if (remaining[p].fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    out.programs[p] = merge_program(plan, detector, test, analysis, program, grid[p]);
-    grid[p] = {};
+    out.programs[static_cast<std::size_t>(p)] =
+        merge_program(plan, detector, test, analysis, p, row);
     if (progress) {
       const std::lock_guard<std::mutex> lock(progress_mutex);
       progress(++completed, num_programs);
@@ -561,25 +549,16 @@ Execution execute_units(const Campaign& campaign,
   };
 
   SchedulerStats& stats = out.scheduler_stats;
-  stats.units = num_units;
-  stats.batches = num_units;
-  stats.units_per_backend.assign(nb, np);
-  auto& registry = telemetry::Registry::global();
-  registry.counter("scheduler.units").add(num_units);
-  for (std::size_t b = 0; b < nb; ++b) {
-    registry.gauge("scheduler.backend." + std::to_string(b) + ".units")
-        .set(static_cast<std::int64_t>(np));
-  }
+  stats.units = np * nb;
+  stats.batches = stats.units;
+  telemetry::Registry::global().counter("scheduler.units").add(stats.units);
   {
     telemetry::ScopedSpan schedule_span("campaign", "schedule");
-    if (schedule_span.active()) {
-      schedule_span.arg("units", static_cast<std::uint64_t>(num_units));
-    }
+    if (schedule_span.active()) schedule_span.arg("units", num_programs);
     // Every unit runs, and reaches the store, before parallel_for rethrows
     // the first exception.
-    ThreadPool pool(std::min(
-        resolve_thread_count(config.threads), num_units));
-    parallel_for(pool, static_cast<int>(num_units), run_unit);
+    ThreadPool pool(std::min(resolve_thread_count(config.threads), np));
+    parallel_for(pool, num_programs, run_unit);
   }
 
   for (std::size_t b = 0; b < nb; ++b) {

@@ -58,9 +58,9 @@ struct ImplOutlierCounts {
 /// One divergent (program, input, implementation set) triple, retained with
 /// everything a test-case reducer or a bug report needs: the AST (the
 /// reducer's working representation), the parsed input values, and the
-/// emitted source + argv text (the reportable artifact). The unit that
-/// completes a program builds its triples from the TestCase it executed, so
-/// neither the campaign nor the reducer generates the program again.
+/// emitted source + argv text (the reportable artifact). A program's unit
+/// builds its triples from the TestCase it executed, so neither the campaign
+/// nor the reducer generates the program again.
 struct DivergentTriple {
   int program_index = 0;
   int input_index = 0;
@@ -73,9 +73,9 @@ struct DivergentTriple {
 };
 
 /// Static-analysis accounting of the generation phase, folded by each unit's
-/// make_test_case as it analyses its program's drafts; the unit that
-/// completes a program hands its accounting to the merge, which sums one per
-/// program. The draft stream is a pure function of the config, so the
+/// make_test_case as it analyses its program's drafts and summed by the
+/// merge, one per program. The draft stream is a pure function of the
+/// config, so the
 /// numbers are bit-identical across thread counts, backend splits, and
 /// store-backed reruns — they can live in the report JSON.
 struct StaticAnalysisStats {
@@ -209,14 +209,14 @@ struct BackendRuns {
                                          const std::atomic<bool>* stop = nullptr);
 
 /// What one run() dispatched (throughput bookkeeping only — results never
-/// depend on it). Units run one at a time off a FIFO thread pool, so
-/// `batches` always equals `units` and `stolen_units` is always 0; both stay
-/// because the end-to-end benchmark reports them.
+/// depend on it). A unit is one program; each runs its (program, backend)
+/// sub-shards one after another, so `batches` always equals `units` and
+/// `stolen_units` is always 0; both stay because the end-to-end benchmark
+/// reports them.
 struct SchedulerStats {
   std::uint64_t batches = 0;
-  std::uint64_t units = 0;  ///< (program, backend) units executed
+  std::uint64_t units = 0;  ///< (program, backend) sub-shards executed
   std::uint64_t stolen_units = 0;
-  std::vector<std::uint64_t> units_per_backend;  ///< indexed like backends
 };
 
 /// A campaign's cached references into the process-wide telemetry registry.
@@ -248,27 +248,27 @@ class Campaign {
   Campaign(CampaignConfig config, std::vector<CampaignBackend> backends);
 
   /// Runs the whole campaign. Deterministic given the config seed and the
-  /// executors (SimExecutor is fully deterministic): every (program, backend)
-  /// unit runs on a pool of `config.threads` workers and the units are
-  /// aggregated in program order, so the result is bit-identical for every
-  /// thread count and backend split — and, with a result store attached,
-  /// identical whether each run was executed or served from the store
-  /// (verdicts are recomputed from the raw runs).
+  /// executors (SimExecutor is fully deterministic): one unit per program
+  /// runs on a pool of `config.threads` workers — generate, every backend in
+  /// order, classify — and the units are aggregated in program order, so the
+  /// result is bit-identical for every thread count and backend split — and,
+  /// with a result store attached, identical whether each run was executed
+  /// or served from the store (verdicts are recomputed from the raw runs).
   [[nodiscard]] CampaignResult run(const ProgressFn& progress = nullptr);
 
   /// Generates the i-th test case of this campaign, folding every draft it
   /// analyses into `accounting` when one is given. A campaign calls it once
-  /// per (program, backend) unit; it is public so benches and the case-study
-  /// analysis can re-create a specific test.
+  /// per program; it is public so benches and the case-study analysis can
+  /// re-create a specific test.
   [[nodiscard]] TestCase make_test_case(
       int program_index, StaticAnalysisStats* accounting = nullptr) const;
 
   [[nodiscard]] const CampaignConfig& config() const noexcept { return config_; }
 
   /// Attaches a persistent run cache (not owned; may be shared between
-  /// campaigns). Before dispatching a unit, every (program, input, impl)
-  /// triple whose key is cached is satisfied from the store; executed
-  /// triples are written back durably as units complete. This is also how
+  /// campaigns). Before dispatching a sub-shard, every (program, input,
+  /// impl) triple whose key is cached is satisfied from the store; executed
+  /// triples are written back durably as sub-shards complete. This is also how
   /// a killed campaign resumes: re-running it on the same store executes
   /// only the triples whose records were never written. Implementations
   /// whose executor reports an empty impl_identity() are never cached.

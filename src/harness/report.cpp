@@ -104,10 +104,7 @@ std::string render_scheduler_summary(
   for (std::size_t b = 0; b < backends.size(); ++b) {
     out += "  backend " + backends[b].name + ": ";
     const auto impls = backends[b].executor->implementations();
-    out += join(impls, ", ");
-    const std::int64_t units =
-        metrics.gauge("scheduler.backend." + std::to_string(b) + ".units");
-    out += " (" + std::to_string(units) + " sub-shards)\n";
+    out += join(impls, ", ") + "\n";
   }
   return out;
 }

@@ -30,10 +30,10 @@ namespace ompfuzz::harness {
 /// which is how the CI equivalence check diffs them.
 [[nodiscard]] std::string to_json(const CampaignResult& result);
 
-/// One line per backend (name, implementations, units executed) plus the
-/// unit total of the last run, read from the telemetry registry (pass
-/// Campaign::run_metrics() so the scheduler.* counters are scoped to the run
-/// being summarized). Throughput bookkeeping only — kept out of to_json so
+/// One line per backend (name, implementations) plus the last run's
+/// (program, backend) sub-shard total, read from the telemetry registry
+/// (pass Campaign::run_metrics() so the scheduler.units counter is scoped to
+/// the run being summarized). Throughput bookkeeping only — kept out of to_json so
 /// backend splits stay report-invisible.
 [[nodiscard]] std::string render_scheduler_summary(
     const std::vector<CampaignBackend>& backends,

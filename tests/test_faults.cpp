@@ -297,10 +297,10 @@ TEST(Failover, DeadBackendWithoutSpareDegradesGracefully) {
   EXPECT_EQ(result.regenerated_programs, healthy.regenerated_programs);
 }
 
-// The dead backend is the last one, so most programs are completed — and
-// classified — by a fabricated unit. The divergent triples the healthy
-// backends still find must carry the program, source and input the campaign
-// generates for that index.
+// The dead backend is the last one, so most programs' last sub-shard is
+// fabricated before their unit classifies them. The divergent triples the
+// healthy backends still find must carry the program, source and input the
+// campaign generates for that index.
 TEST(Failover, DivergentTriplesSurviveAFabricatedLastUnit) {
   CampaignConfig cfg = sim_config();
   cfg.num_programs = 6;

@@ -92,11 +92,11 @@ TEST(SchedulerCampaign, BitIdenticalAcrossBackendSplits) {
   }
 }
 
-// Every unit generates its program once and the unit that completes a
-// program classifies it from that same TestCase, so the analysed drafts are
-// exactly one draft stream per backend — divergent programs are never
-// generated again.
-TEST(SchedulerCampaign, AnalyzedDraftsAreOneStreamPerBackend) {
+// A campaign unit is one program: it generates the program once, runs it
+// under every backend and classifies it from that same TestCase, so the
+// analysed drafts are exactly one draft stream per campaign, whatever the
+// backend split — divergent programs are never generated again.
+TEST(SchedulerCampaign, AnalyzedDraftsAreOneStreamPerCampaign) {
   SimExecutorOptions opt;
   opt.num_threads = 4;
   for (const int threads : {1, 4}) {
@@ -118,9 +118,74 @@ TEST(SchedulerCampaign, AnalyzedDraftsAreOneStreamPerBackend) {
       const CampaignResult result = campaign.run();
       ASSERT_FALSE(result.divergent.empty());
       EXPECT_EQ(campaign.run_metrics().counter("campaign.analyzed_drafts"),
-                3u * static_cast<std::uint64_t>(result.analysis.programs_checked))
+                static_cast<std::uint64_t>(result.analysis.programs_checked))
           << "threads=" << threads;
     }
+  }
+}
+
+// ------------------------------------------- non-thread-safe executor ----
+
+/// Forwards to an inner executor but declares itself not thread-safe, and
+/// records the most run_batch calls it ever saw in flight at once. The
+/// campaign must serialize its calls (BackendPlan::exec_mutex) while the
+/// thread-safe backend beside it runs freely.
+class SerialOnlyExecutor final : public Executor {
+ public:
+  explicit SerialOnlyExecutor(Executor& inner) : inner_(inner) {}
+
+  [[nodiscard]] core::RunResult run(const TestCase& test,
+                                    std::size_t input_index,
+                                    const std::string& impl_name) override {
+    return inner_.run(test, input_index, impl_name);
+  }
+  [[nodiscard]] std::vector<core::RunResult> run_batch(
+      const TestCase& test, const std::vector<std::size_t>& input_indices,
+      const std::vector<std::string>& impls) override {
+    const int now = in_flight_.fetch_add(1) + 1;
+    int seen = max_in_flight_.load();
+    while (now > seen && !max_in_flight_.compare_exchange_weak(seen, now)) {
+    }
+    // Widen the window two unserialized calls would need to overlap.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    auto results = inner_.run_batch(test, input_indices, impls);
+    in_flight_.fetch_sub(1);
+    return results;
+  }
+  [[nodiscard]] std::vector<std::string> implementations() const override {
+    return inner_.implementations();
+  }
+  [[nodiscard]] std::string impl_identity(
+      const std::string& impl_name) const override {
+    return inner_.impl_identity(impl_name);
+  }
+  [[nodiscard]] bool thread_safe() const noexcept override { return false; }
+
+  [[nodiscard]] int max_in_flight() const { return max_in_flight_.load(); }
+
+ private:
+  Executor& inner_;
+  std::atomic<int> in_flight_{0};
+  std::atomic<int> max_in_flight_{0};
+};
+
+TEST(SchedulerCampaign, NonThreadSafeBackendIsSerializedBesideAThreadSafeOne) {
+  SimExecutorOptions opt;
+  opt.num_threads = 4;
+  std::string expected;
+  for (const int threads : {1, 4}) {
+    SimExecutor safe(profile_slice(0, 2), opt);
+    SimExecutor inner(profile_slice(2, 3), opt);
+    SerialOnlyExecutor serial(inner);
+    Campaign campaign(sim_config(12, threads),
+                      {{&safe, "safe"}, {&serial, "serial"}});
+    const std::string json = to_json(campaign.run());
+    if (threads == 1) {
+      expected = json;
+    } else {
+      EXPECT_EQ(json, expected) << "threads=" << threads;
+    }
+    EXPECT_EQ(serial.max_in_flight(), 1) << "threads=" << threads;
   }
 }
 

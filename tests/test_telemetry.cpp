@@ -182,7 +182,7 @@ TEST(TelemetryRegistry, SnapshotDeltaDeterministicAcrossThreadCounts) {
 // deterministic registry counter lands on the same per-run delta whether the
 // campaign ran on one worker or four. Timing metrics (analysis_nanos, the
 // unit_micros sum) are wall-clock and excluded; the unit_micros COUNT is one
-// record per sub-shard unit and must match.
+// record per program unit and must match.
 TEST(TelemetryRegistry, CampaignRunMetricsDeterministicAcrossThreadCounts) {
   const auto run_with_threads = [](int threads) {
     CampaignConfig cfg;
