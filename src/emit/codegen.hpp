@@ -29,6 +29,13 @@
 
 namespace ompfuzz::emit {
 
+/// Version of the emitted text: what prelude() and emit_translation_unit()
+/// produce for a given Program. SubprocessExecutor::impl_identity names it,
+/// so results stored under another emitter's text only miss. Bump it with
+/// every change to the emitted text; `UnitEmit.HarnessVersionPinsTheText`
+/// pins it together with a hash of that text and fails until it is bumped.
+inline constexpr int kHarnessVersion = 1;
+
 struct EmitOptions {
   bool include_main = true;      ///< emit the driver main() around compute()
   bool emit_line_comments = false;  ///< annotate OpenMP constructs

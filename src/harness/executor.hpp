@@ -67,7 +67,8 @@ class Executor {
   /// Cache identity of one implementation for the persistent result store:
   /// a string covering everything besides the (program, input) content that
   /// can change this executor's RunResult — backend kind, compile command
-  /// and flags, timeouts, simulated profile parameters. Two executors whose
+  /// and flags, timeouts, simulated profile parameters, and the version of
+  /// the code that turns a test into a run (emitter or interpreter). Two executors whose
   /// identity strings match must produce bit-identical results for the same
   /// test, so a cached result can stand in for a real run. The default empty
   /// string means "unknown identity": the campaign then never caches or

@@ -35,7 +35,8 @@ std::string SimExecutor::impl_identity(const std::string& impl_name) const {
          ";num_threads=" + std::to_string(options_.num_threads) +
          ";hang_timeout_us=" + std::to_string(options_.hang_timeout_us) +
          ";max_interp_steps=" + std::to_string(options_.max_interp_steps) +
-         ";params=" + telemetry::hex_fingerprint(rt::parameter_digest(p));
+         ";params=" + telemetry::hex_fingerprint(rt::parameter_digest(p)) +
+         ";interp=" + std::to_string(interp::kSemanticsVersion);
 }
 
 std::vector<std::string> SimExecutor::implementations() const {

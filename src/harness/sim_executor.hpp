@@ -55,7 +55,8 @@ class SimExecutor final : public Executor {
   [[nodiscard]] std::vector<std::string> implementations() const override;
 
   /// Backend kind + profile name + every SimExecutorOptions knob + one hex
-  /// digest of every profile parameter (rt::parameter_digest).
+  /// digest of every profile parameter (rt::parameter_digest) +
+  /// interp::kSemanticsVersion.
   [[nodiscard]] std::string impl_identity(
       const std::string& impl_name) const override;
 

@@ -150,7 +150,8 @@ std::string SubprocessExecutor::impl_identity(
   const ImplementationSpec& spec = spec_for(impl_name);
   return "subprocess;cmd=" + spec.compile_command +
          ";run_timeout_ms=" + std::to_string(options_.run_timeout_ms) +
-         ";compile_timeout_ms=" + std::to_string(options_.compile_timeout_ms);
+         ";compile_timeout_ms=" + std::to_string(options_.compile_timeout_ms) +
+         ";emit=" + std::to_string(emit::kHarnessVersion);
 }
 
 std::size_t SubprocessExecutor::index_of(const std::string& impl_name) const {

@@ -138,9 +138,10 @@ class SubprocessExecutor final : public Executor {
   [[nodiscard]] std::vector<std::string> implementations() const override;
 
   /// Backend kind + the full compile command template (flags included) +
-  /// both timeouts: everything that can alter a classification (a shorter
-  /// run timeout turns Ok into Hang, a different -O level changes the
-  /// binary). Changing any of it changes the cache key.
+  /// both timeouts + emit::kHarnessVersion: everything that can alter a
+  /// classification (a shorter run timeout turns Ok into Hang, a different
+  /// -O level or emitted text changes the binary). Changing any of it
+  /// changes the cache key.
   [[nodiscard]] std::string impl_identity(
       const std::string& impl_name) const override;
 

@@ -41,6 +41,13 @@
 
 namespace ompfuzz::interp {
 
+/// Version of the interpreter's observable semantics (comp, EventCounts,
+/// steps). SimExecutor::impl_identity names it, so results stored by another
+/// interpreter only miss. Bump it with every change to those observables;
+/// `Interp.CampaignStreamEventsArePinned` pins it together with a hash of
+/// them and fails until it is bumped.
+inline constexpr int kSemanticsVersion = 1;
+
 struct InterpOptions {
   FpSemantics fp;
   /// 0 keeps each region's own num_threads clause; otherwise overrides it.

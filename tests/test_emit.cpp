@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <utility>
 
 #include "core/generator.hpp"
 #include "emit/codegen.hpp"
+#include "harness/campaign.hpp"
+#include "harness/sim_executor.hpp"
+#include "support/config.hpp"
+#include "support/rng.hpp"
 
 namespace ompfuzz::emit {
 namespace {
@@ -244,6 +250,26 @@ TEST(UnitEmit, GeneratedProgramEmissionIsStable) {
   const auto p1 = gen.generate("golden", 20240611);
   const auto p2 = gen.generate("golden", 20240611);
   EXPECT_EQ(emit_translation_unit(p1), emit_translation_unit(p2));
+}
+
+// The emitted text is pinned as a (kHarnessVersion, hash) pair over the
+// prelude and the first 40 programs of the default and the all-gates
+// campaign streams. When the hash moves, bump kHarnessVersion with it, so
+// subprocess store keys written under the old text stop matching.
+TEST(UnitEmit, HarnessVersionPinsTheText) {
+  std::uint64_t h = fnv1a64(prelude());
+  for (const char* features : {"", "atomic,single,master,schedule,rangeidx"}) {
+    CampaignConfig config;
+    config.generator.enable_features(features);
+    harness::SimExecutor exec;
+    const harness::Campaign campaign(config, exec);
+    for (int p = 0; p < 40; ++p) {
+      h = hash_combine(
+          h, fnv1a64(emit_translation_unit(campaign.make_test_case(p).program)));
+    }
+  }
+  EXPECT_EQ(std::make_pair(kHarnessVersion, h),
+            std::make_pair(1, std::uint64_t{0x0d639de550b7d7d6ULL}));
 }
 
 }  // namespace

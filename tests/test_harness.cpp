@@ -10,6 +10,7 @@
 #include "harness/perf_analyzer.hpp"
 #include "harness/report.hpp"
 #include "harness/sim_executor.hpp"
+#include "interp/interp.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -167,6 +168,9 @@ TEST(SimExecutor, EqualProfilesShareIdentity) {
   }
   // The digest is one fixed-width field, distinct per built-in profile.
   EXPECT_NE(a.impl_identity("clang").find(";params="), std::string::npos);
+  EXPECT_NE(a.impl_identity("clang").find(
+                ";interp=" + std::to_string(interp::kSemanticsVersion)),
+            std::string::npos);
   EXPECT_NE(rt::parameter_digest(rt::clang_profile()),
             rt::parameter_digest(rt::intel_profile()));
 }

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "emit/codegen.hpp"
 #include "harness/campaign.hpp"
 #include "harness/report.hpp"
 #include "harness/sim_executor.hpp"
@@ -185,6 +186,9 @@ TEST(RunKeyTest, SubprocessIdentityCoversCommandAndTimeouts) {
   EXPECT_NE(o2, o3) << "optimization level not part of the impl identity";
   EXPECT_NE(o2, o2_short) << "run timeout not part of the impl identity";
   EXPECT_NE(o2.find("-O2"), std::string::npos);
+  EXPECT_NE(o2.find(";emit=" + std::to_string(emit::kHarnessVersion)),
+            std::string::npos)
+      << "emitter version not part of the impl identity";
 }
 
 // -------------------------------------------------------- ResultStore ------
