@@ -156,9 +156,18 @@ class Emitter {
           }
           line(head);
         }
+        // A serial loop reads its bound once, as the interpreter does, so a
+        // body that assigns the bound variable cannot change the trip count.
+        // An omp for keeps the canonical form OpenMP requires (the runtime
+        // reads that bound once too).
         const std::string i = name(s.loop_var);
-        line("for (int " + i + " = 0; " + i + " < " + expr(*s.loop_bound) +
-             "; ++" + i + ")");
+        const std::string bound = expr(*s.loop_bound);
+        if (s.omp_for) {
+          line("for (int " + i + " = 0; " + i + " < " + bound + "; ++" + i + ")");
+        } else {
+          line("for (int " + i + " = 0, " + i + "_n = " + bound + "; " + i +
+               " < " + i + "_n; ++" + i + ")");
+        }
         open_brace();
         block(s.body);
         close_brace();

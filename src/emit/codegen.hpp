@@ -34,7 +34,7 @@ namespace ompfuzz::emit {
 /// so results stored under another emitter's text only miss. Bump it with
 /// every change to the emitted text; `UnitEmit.HarnessVersionPinsTheText`
 /// pins it together with a hash of that text and fails until it is bumped.
-inline constexpr int kHarnessVersion = 1;
+inline constexpr int kHarnessVersion = 2;
 
 struct EmitOptions {
   bool include_main = true;      ///< emit the driver main() around compute()

@@ -269,7 +269,7 @@ TEST(UnitEmit, HarnessVersionPinsTheText) {
     }
   }
   EXPECT_EQ(std::make_pair(kHarnessVersion, h),
-            std::make_pair(1, std::uint64_t{0x0d639de550b7d7d6ULL}));
+            std::make_pair(2, std::uint64_t{0xa2ef322b5469a516ULL}));
 }
 
 }  // namespace

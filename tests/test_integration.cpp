@@ -186,6 +186,61 @@ TEST_P(InterpVsBinary, OutputsMatchBitwise) {
 INSTANTIATE_TEST_SUITE_P(Seeds, InterpVsBinary,
                          ::testing::Values(11, 22, 33, 44, 55));
 
+// A serial loop whose body assigns its own bound: the interpreter reads the
+// bound once (4 iterations), so the emitted loop must too, not re-test it
+// against the new value (574 iterations).
+TEST(RealCompile, SerialLoopReadsItsBoundOnce) {
+  if (!have_gxx()) GTEST_SKIP() << "no g++ available";
+  using ast::VarKind;
+  using ast::VarRole;
+  ast::Program prog;
+  prog.set_name("bound_once");
+  const ast::VarId comp = prog.add_var(
+      {"comp", VarKind::FpScalar, VarRole::Comp, ast::FpWidth::F64, 0});
+  prog.set_comp(comp);
+  const ast::VarId n = prog.add_var(
+      {"var_1", VarKind::IntScalar, VarRole::Param, ast::FpWidth::F64, 0});
+  prog.add_param(n);
+  const ast::VarId i = prog.add_var(
+      {"i_1", VarKind::IntScalar, VarRole::LoopIndex, ast::FpWidth::F64, 0});
+  ast::Block body;
+  body.stmts.push_back(ast::Stmt::assign(ast::LValue{n, nullptr},
+                                         ast::AssignOp::Assign,
+                                         ast::Expr::int_const(574)));
+  body.stmts.push_back(ast::Stmt::assign(ast::LValue{comp, nullptr},
+                                         ast::AssignOp::AddAssign,
+                                         ast::Expr::fp_const(1.0)));
+  prog.body().stmts.push_back(
+      ast::Stmt::for_loop(i, ast::Expr::var(n), std::move(body), false));
+  prog.validate();
+
+  fp::InputSet input;
+  fp::InputValue bound;
+  bound.kind = fp::ParamKind::Int;
+  bound.int_value = 4;
+  input.values.push_back(bound);
+
+  const auto interp_result = interp::execute(prog, input, {});
+  ASSERT_TRUE(interp_result.ok);
+  ASSERT_EQ(interp_result.comp, 4.0);
+
+  const std::string dir = temp_dir();
+  const std::string src = dir + "/t.cpp";
+  const std::string bin = dir + "/t.bin";
+  std::ofstream(src) << emit::emit_translation_unit(prog);
+  const auto compile =
+      harness::run_process({"g++", "-fopenmp", "-O0", src, "-o", bin}, 60000);
+  ASSERT_EQ(compile.exit_code, 0) << "emitted program failed to compile";
+  std::vector<std::string> argv = {bin};
+  for (const auto& a : input.to_argv()) argv.push_back(a);
+  const auto run = harness::run_process(argv, 30000);
+  ASSERT_EQ(run.exit_code, 0);
+  const auto lines = split(run.output, '\n');
+  ASSERT_GE(lines.size(), 1u);
+  EXPECT_EQ(std::strtod(lines[0].c_str(), nullptr), interp_result.comp)
+      << "binary printed " << lines[0];
+}
+
 // --------------------------------------------------- subprocess executor ---
 
 TEST(SubprocessExecutorTest, RunsDifferentialCampaignWithOptLevels) {
