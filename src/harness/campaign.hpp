@@ -125,7 +125,7 @@ struct QuarantineRecord {
 /// retries fully absorb — both lists are empty, which is what keeps a
 /// fault-injected report byte-identical to the clean baseline. Only
 /// permanently lost work appears here. How hard the campaign tried (retries
-/// fired, units fabricated) varies with fault timing and thread interleaving,
+/// fired, sub-shards fabricated) varies with fault timing and thread interleaving,
 /// so those counters live only in the telemetry registry (`campaign.*`, read
 /// through Campaign::run_metrics()).
 struct RobustnessStats {

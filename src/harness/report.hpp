@@ -53,7 +53,7 @@ namespace ompfuzz::harness {
 /// Retry/fault-injection summary: the deterministic RobustnessStats
 /// (quarantined triples, lost backends — also in the JSON's `robustness`
 /// block) next to the counters of how hard the campaign tried (retries
-/// fired, units fabricated, per-site fault-injection hits), which are
+/// fired, sub-shards fabricated, per-site fault-injection hits), which are
 /// nondeterministic and therefore stdout-only, exactly like the analysis
 /// timing above. The counters come from the registry's campaign.* entries —
 /// pass Campaign::run_metrics().

@@ -26,7 +26,7 @@
 // submitted), so a campaign or reduction leaves work_dir empty apart from
 // the PCH below.
 // Nothing is reused across calls: the campaign issues one call per
-// (program, backend) unit and the reducer's oracle answers revisited
+// (program, backend) sub-shard and the reducer's oracle answers revisited
 // candidates from its memo, so a retry after a harness failure recompiles.
 // File stems are `<name>_<fingerprint>_<impl>_<n>` with `n` a per-executor
 // counter, so concurrent batches of one program never share a path.

@@ -1,7 +1,7 @@
 // Fixed-size worker pool for sharding campaign work across cores.
 //
-// The campaign engine dispatches one unit per (program, backend); each unit
-// is deterministic on its own (RandomEngine::fork streams), so a pool of
+// The campaign engine dispatches one unit per program; each unit is
+// deterministic on its own (RandomEngine::fork streams), so a pool of
 // workers can execute units in any order while the caller aggregates results
 // in program order. The pool is deliberately minimal: FIFO queue, blocking
 // submit-side never, shutdown on destruction.
