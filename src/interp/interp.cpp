@@ -9,25 +9,8 @@
 
 namespace ompfuzz::interp {
 
-namespace {
-
-using ast::AssignOp;
-using ast::BinOp;
-using ast::Block;
-using ast::Expr;
-using ast::FpWidth;
-using ast::MathFunc;
-using ast::Program;
-using ast::ReductionOp;
-using ast::Stmt;
-using ast::VarDecl;
-using ast::VarId;
-using ast::VarKind;
-
-/// Internal signal for budget exhaustion; converted to a result flag.
-struct BudgetExceeded {};
-
-double apply_math(MathFunc f, double x) noexcept {
+double apply_math(ast::MathFunc f, double x) noexcept {
+  using ast::MathFunc;
   switch (f) {
     case MathFunc::Sin: return std::sin(x);
     case MathFunc::Cos: return std::cos(x);
@@ -42,6 +25,23 @@ double apply_math(MathFunc f, double x) noexcept {
   }
   return x;
 }
+
+namespace {
+
+using ast::AssignOp;
+using ast::BinOp;
+using ast::Block;
+using ast::Expr;
+using ast::FpWidth;
+using ast::Program;
+using ast::ReductionOp;
+using ast::Stmt;
+using ast::VarDecl;
+using ast::VarId;
+using ast::VarKind;
+
+/// Internal signal for budget exhaustion; converted to a result flag.
+struct BudgetExceeded {};
 
 template <typename T>
 T apply_bin(BinOp op, T a, T b) noexcept {

@@ -78,6 +78,10 @@ struct InterpResult {
                                    const fp::InputSet& input,
                                    const InterpOptions& options = {});
 
+/// The value of a math call on `x`. Calls always compute in double (C
+/// semantics); the reducer folds constant calls with this same function.
+[[nodiscard]] double apply_math(ast::MathFunc f, double x) noexcept;
+
 /// Contiguous static-schedule chunk of `n` iterations for thread `tid` of
 /// `num_threads`: the first `n % T` threads get one extra iteration.
 /// Returns {begin, end}.

@@ -1,10 +1,10 @@
 #include "reduce/passes.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 
 #include "analysis/race_analyzer.hpp"
+#include "interp/interp.hpp"
 #include "support/error.hpp"
 
 namespace ompfuzz::reduce {
@@ -333,22 +333,6 @@ std::vector<Candidate> clause_candidates(const Program& program,
 
 namespace {
 
-double apply_math_fold(ast::MathFunc func, double x) {
-  switch (func) {
-    case ast::MathFunc::Sin: return std::sin(x);
-    case ast::MathFunc::Cos: return std::cos(x);
-    case ast::MathFunc::Tan: return std::tan(x);
-    case ast::MathFunc::Exp: return std::exp(x);
-    case ast::MathFunc::Log: return std::log(x);
-    case ast::MathFunc::Sqrt: return std::sqrt(x);
-    case ast::MathFunc::Fabs: return std::fabs(x);
-    case ast::MathFunc::Floor: return std::floor(x);
-    case ast::MathFunc::Ceil: return std::ceil(x);
-    case ast::MathFunc::Atan: return std::atan(x);
-  }
-  return x;
-}
-
 /// One proposed replacement of pre-order node `node_index` within a site.
 struct ExprProposal {
   std::size_t node_index = 0;
@@ -438,7 +422,7 @@ void enumerate_proposals(const Expr& e, std::size_t& counter,
           arg.fp_width() == ast::FpWidth::F64) {
         // Math calls always compute in double (C semantics).
         out.push_back(
-            {me, Expr::fp_const(apply_math_fold(e.func(), arg.fp_value())),
+            {me, Expr::fp_const(interp::apply_math(e.func(), arg.fp_value())),
              "fold-call"});
       }
       out.push_back({me, arg.clone(), "call->arg"});
