@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Layering lint for src/: fails when a module includes a higher layer.
+"""Layering lint for src/: fails when a module includes a higher layer, or
+when the `ompfuzz` source list in CMakeLists.txt and the src/**/*.cpp files
+on disk disagree (a file missing from the list, or a listed file that does
+not exist), so deleting a module cannot leave a stale entry or an orphan.
 
 The dependency order of the library, lowest first:
 
@@ -52,6 +55,20 @@ EXCEPTIONS = {}
 assert not EXCEPTIONS, "no grandfathered layering exceptions are allowed"
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
+LIBRARY_RE = re.compile(r"add_library\(ompfuzz\s+STATIC\s+([^)]*)\)")
+
+
+def source_list_violations(root: Path) -> list:
+    """Differences between the ompfuzz target's sources and src/**/*.cpp."""
+    m = LIBRARY_RE.search((root / "CMakeLists.txt").read_text())
+    if not m:
+        return ["CMakeLists.txt: no add_library(ompfuzz STATIC ...) source list"]
+    listed = {tok for tok in m.group(1).split() if tok.endswith(".cpp")}
+    on_disk = {p.relative_to(root).as_posix() for p in (root / "src").rglob("*.cpp")}
+    return [f"{rel}: not in the ompfuzz source list in CMakeLists.txt"
+            for rel in sorted(on_disk - listed)] + [
+        f"CMakeLists.txt: ompfuzz lists {rel}, which does not exist"
+        for rel in sorted(listed - on_disk)]
 
 
 def main() -> int:
@@ -61,7 +78,7 @@ def main() -> int:
         print(f"check_layering: no src/ under {root}", file=sys.stderr)
         return 2
 
-    violations = []
+    violations = source_list_violations(root)
     checked = 0
     for path in sorted(src.rglob("*")):
         if path.suffix not in (".hpp", ".cpp"):
