@@ -1,9 +1,7 @@
 // Finding vocabulary of the static race analysis (paper Section III-G).
 //
-// The kinds predate the MHP analyzer — they were introduced by the original
-// pattern-rule checker — and are kept stable because campaign reports, the
-// reducer's rejection messages, and the golden-finding corpus all key off
-// them.
+// The kinds are kept stable because campaign reports, the reducer's
+// rejection messages, and the golden-finding corpus all key off them.
 #pragma once
 
 #include <string>

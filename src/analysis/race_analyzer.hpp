@@ -10,8 +10,7 @@
 //      may happen in parallel (phase_model.hpp), and — for arrays — the
 //      subscripts are not provably disjoint.
 // Conflicts are then folded into the stable RaceKind vocabulary
-// (findings.hpp) so every consumer of analyze_races sees the same report
-// shape the pattern-rule checker produced.
+// (findings.hpp), one report shape for every consumer of analyze_races.
 //
 // Finding order is deterministic: regions in pre-order; per region the
 // uninitialized-private findings (first-read order), then scalar conflicts

@@ -62,7 +62,9 @@ class Program {
   /// Checks tree well-formedness: every referenced variable exists, kinds
   /// match their use (arrays subscripted, scalars not), loop variables are
   /// IntScalar, comp is a declared FpScalar, assignment targets are not
-  /// loop indices or int params. Throws Error with a description otherwise.
+  /// loop indices. Throws Error with a description otherwise. Int params
+  /// may be assigned, even one that bounds an enclosing `omp for`, which
+  /// OpenMP's canonical loop form forbids: a known generator defect.
   void validate() const;
 
  private:

@@ -20,7 +20,8 @@
 //         designated "critical-only" set accessed exclusively inside
 //         critical sections.
 //
-// The same rules are validated independently by RaceChecker and
+// The same rules are validated independently by analysis::analyze_races
+// (checked against dynamic access traces by the differential sweep) and
 // check_conformance, which the property tests run over many seeds.
 #pragma once
 
